@@ -4,10 +4,13 @@
     python3 perfbench/run.py            # every workload, untraced and traced
 
 Run from anywhere; the package is imported from `src/` next to this
-directory and nowhere else.  A run sets up the desk (see desk.py) several
-times and keeps the median as `setup_s`, then repeats rounds of the
-workload's ops until the ops have been busy for `--seconds` seconds.
-Every op's answer is checked against a reference outside the timed region.
+directory and nowhere else.  `--seconds` defaults to BENCHMARK.json's
+`run_seconds`.  A run sets up the desk (see desk.py) several times and
+keeps the median as `setup_s`, then repeats rounds of the workload's ops
+until the ops have been busy for `--seconds` seconds and have made at
+least MIN_ATTEMPTS attempts.  Every op's answer is checked against a
+reference outside the timed region.  Reported times are at reference
+speed (see speed.py).
 
 With `--trace 0` the last line of stdout is a JSON object holding the
 end-to-end metrics.  With `--trace 1` rounds alternate between untraced and
@@ -38,8 +41,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT_DIR = ROOT / ".perfbench"
 WORKLOAD_NAMES = ("enumerate", "equivalence", "membership", "long_run")
-SETUP_REPEATS = 5
-DEFAULT_SECONDS = 20
+SETUP_REPEATS = 9
+# op_p90_ms needs at least ten attempts beyond it
+MIN_ATTEMPTS = 100
 # Seed 1 is the development seed.  Confirm a claimed gain on HELD_OUT_SEED,
 # which was not used while the benchmark or any change was tuned.
 DEFAULT_SEED = 1
@@ -81,6 +85,11 @@ def private_imports(paths) -> list:
     return found
 
 
+def run_seconds() -> int:
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
+        return json.load(handle)["run_seconds"]
+
+
 def import_package():
     """Import fr1tass from this checkout's src/; (seconds taken, module)."""
     src = ROOT / "src"
@@ -88,6 +97,7 @@ def import_package():
     start = time.perf_counter()
     try:
         import fr1tass
+        import fr1tass.cli  # the CLI ops drive it; not imported by fr1tass
     except ImportError as err:
         raise SelfCheckError(f"cannot import fr1tass from {src}: {err}") from err
     elapsed = time.perf_counter() - start
@@ -97,28 +107,32 @@ def import_package():
 
 
 def attempt(op, tr) -> tuple:
-    """(start, seconds busy, True when answered and matching, exception)."""
+    """(start, seconds busy, True when answered and matching, the name of
+    the exception raised or None).
+
+    Only the exception's name leaves: its traceback would keep the failed
+    call's frames, and all they hold, alive into the next op.
+    """
     start = time.perf_counter()
     try:
-        result = tr.call("bench.op", op.call, tr)
+        result, error = tr.call("bench.op", op.call, tr), None
     except Exception as err:  # a raised exception is a failed op
-        return start, time.perf_counter() - start, False, err
+        result, error = None, type(err).__name__
+    # The op pays, in its own time, for collecting the cyclic garbage it
+    # left, so no op inherits another's and peak_rss_mb does not depend on
+    # when the collector happened to run.
+    gc.collect()
     busy = time.perf_counter() - start
-    return start, busy, op.check(result), None
+    return start, busy, error is None and op.check(result), error
 
 
-def percentile_index(n: int, q: float) -> int:
+def rank(n: int, q: float) -> int:
+    """Index of the q quantile in n sorted samples (nearest rank)."""
     return max(0, math.ceil(q * n) - 1)
 
 
-def tail_quantile(n: int) -> float:
-    """0.9, or with fewer than 100 ops the highest quantile that keeps at
-    least ten samples beyond it."""
-    return 0.9 if n >= 100 else max(0.5, (n - 10) / n)
-
-
 def run_workload(args) -> dict:
-    from spans import NullTracer, Tracer, layer_metrics
+    from spans import CHECK, NullTracer, Tracer, layer_metrics
     from speed import SpeedClock
 
     paths = sorted(HERE.glob("*.py"))
@@ -130,7 +144,7 @@ def run_workload(args) -> dict:
     import_start = time.perf_counter()
     import_s, F = import_package()
     clock.calibrate()
-    from desk import build_desk
+    from desk import build_desk, check_desk
     from workloads import WORKLOADS, Op
 
     null = NullTracer()
@@ -140,12 +154,14 @@ def run_workload(args) -> dict:
     try:
         setups = []
         for rep in range(SETUP_REPEATS):
-            gc.collect()  # each set-up starts without the last one's garbage
             start = time.perf_counter()
             desk = build_desk(tracer or null, os.path.join(workdir, str(rep)))
             groups = WORKLOADS[args.workload](desk, random.Random(args.seed))
             setups.append((start, time.perf_counter() - start))
             clock.calibrate()
+        if tracer is not None:
+            tracer.op = CHECK
+        check_desk(tracer or null, desk)
 
         wrong = Op("self-check: a deliberately wrong expected answer",
                    lambda tr: F.run(desk.machines["power_of_two"],
@@ -159,13 +175,14 @@ def run_workload(args) -> dict:
             for op in group:
                 if op.prepare is not None:
                     op.prepare()
-        # The desk and the reference answers live for the whole run; keep
-        # the collector from re-scanning them during timed ops.
+        # The desk and the cached reference answers live for the whole
+        # run; keep the collector from re-scanning them during timed ops,
+        # so the collection each op pays for scans the package's objects.
         gc.collect()
         gc.freeze()
 
         schedule = random.Random(f"{args.seed}/schedule")
-        # (start, seconds, ok, traced, op id) for every attempt
+        # (start, seconds, ok, traced) for every attempt
         timings, raised, mismatched = [], {}, {}
         busy = rounds = traced_rounds = 0
         while True:
@@ -178,21 +195,20 @@ def run_workload(args) -> dict:
                 schedule.shuffle(order)
                 for index, op in enumerate(order):
                     clock.calibrate_if_due()
-                    # every op starts with no garbage left by the last one
-                    gc.collect()
                     if traced:
                         tracer.op = f"{rounds}/{index}"
                     start, seconds, ok, err = attempt(op, tr)
-                    timings.append((start, seconds, ok, traced, id(op)))
+                    timings.append((start, seconds, ok, traced))
                     busy += seconds
                     if err is not None:
-                        key = f"{op.label}: {type(err).__name__}"
+                        key = f"{op.label}: {err}"
                         raised[key] = raised.get(key, 0) + 1
                     elif not ok:
                         mismatched[op.label] = mismatched.get(op.label, 0) + 1
             rounds += 1
             traced_rounds += traced
-            if busy >= args.seconds and (tracer is None or rounds % 2 == 0):
+            if busy >= args.seconds and len(timings) >= MIN_ATTEMPTS and \
+                    (tracer is None or rounds % 2 == 0):
                 break
         clock.calibrate()
     finally:
@@ -201,21 +217,15 @@ def run_workload(args) -> dict:
     failed = sum(raised.values()) + sum(mismatched.values())
     n = len(timings)
     scaled = [(seconds * clock.scale(start), ok, traced)
-              for start, seconds, ok, traced, _ in timings]
-    # Every round attempts every op once.  An op's latency is the median
-    # of its attempts, so one slow attempt does not move a percentile; a
-    # failed attempt counts as slower than every answered one.
-    attempts = defaultdict(list)
-    for (s, ok, _), (*_, op_id) in zip(scaled, timings):
-        attempts[op_id].append(s if ok else math.inf)
-    ordered = sorted(statistics.median(v) for v in attempts.values() for _ in v)
-    slowest = max((s for s, ok, _ in scaled if ok), default=0.0)
-    ordered = [slowest if s == math.inf else s for s in ordered]
-    tail = tail_quantile(n)
+              for start, seconds, ok, traced in timings]
+    # Percentiles are over single attempts.  A failed attempt ranks as
+    # slower than every answered one and reads as the slowest answered time.
+    answered = sorted(seconds for seconds, ok, _ in scaled if ok)
+    ordered = answered + [max(answered, default=0.0)] * (n - len(answered))
     summary = {
         "workload": args.workload, "seed": args.seed, "rounds": rounds,
         "ops": n, "failed": failed, "error_rate": failed / n,
-        "tail_quantile": tail, "kernel_ms": 1e3 * clock.median_kernel(),
+        "kernel_ms": 1e3 * clock.median_kernel(),
         "raised": raised, "mismatched": mismatched,
     }
     if tracer is None:
@@ -223,17 +233,19 @@ def run_workload(args) -> dict:
                                     for start, seconds in setups)
         metrics = {
             "setup_s": (import_s * clock.scale(import_start) + setup_s, "s"),
-            "ops_per_s": ((n - failed) / sum(s for s, _, _ in scaled), "1/s"),
-            "op_p50_ms": (1e3 * ordered[percentile_index(n, 0.5)], "ms"),
-            "op_p90_ms": (1e3 * ordered[percentile_index(n, tail)], "ms"),
+            "ops_per_s": (len(answered) / sum(s for s, _, _ in scaled),
+                          "1/s"),
+            "op_p50_ms": (1e3 * ordered[rank(n, 0.5)], "ms"),
+            "op_p90_ms": (1e3 * ordered[rank(n, 0.9)], "ms"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                             / 1024, "MB"),
         }
     else:
         metrics = layer_metrics(tracer, traced_rounds, SETUP_REPEATS,
                                 clock.scale)
-        rates = {t: sum(1 for _, _, x in scaled if x == t)
-                 / sum(s for s, _, x in scaled if x == t) for t in (False, True)}
+        rates = {t: sum(1 for _, ok, x in scaled if x == t and ok)
+                 / sum(s for s, _, x in scaled if x == t)
+                 for t in (False, True)}
         metrics["trace.overhead_pct"] = (
             100.0 * (1 - rates[True] / rates[False]), "%")
         trace_path = OUT_DIR / f"trace-{args.workload}-{args.seed}.json"
@@ -250,7 +262,6 @@ def print_result(result) -> None:
     print(f"# {summary['workload']} seed={summary['seed']} "
           f"rounds={summary['rounds']} ops={summary['ops']} "
           f"failed={summary['failed']} error_rate={summary['error_rate']:.4f} "
-          f"op_p90_ms is the q={summary['tail_quantile']:.3f} quantile "
           f"kernel_ms={summary['kernel_ms']:.3f}")
     for label, count in {**summary["raised"], **summary["mismatched"]}.items():
         print(f"#   failed x{count}: {label}")
@@ -282,9 +293,13 @@ def main(argv=None) -> int:
                         help="omit to run every workload")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"input seed; confirm claims on {HELD_OUT_SEED}")
-    parser.add_argument("--seconds", type=float, default=DEFAULT_SECONDS)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="busy time to measure; default run_seconds "
+                             "from BENCHMARK.json")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    if args.seconds is None:
+        args.seconds = run_seconds()
     if args.workload is None:
         return run_all(args)
     try:

@@ -18,6 +18,7 @@ TRANSFORM_OPS = ("remove_erasing", "as_to_et", "et_to_as", "complement",
                  "intersect", "union", "intersect_sequential",
                  "union_sequential")
 SETUP = "setup"
+CHECK = "check"  # op id of the desk check that follows set-up
 
 
 class NullTracer:
@@ -87,8 +88,9 @@ def layer_metrics(tracer: Tracer, traced_rounds: int, traced_setups: int,
     """Per-layer metrics, as {name: (value, unit)}.
 
     `scale(start)` converts a time measured from `start` to reference
-    speed (see speed.py).  Times are means over every traced call, set-up
-    included, so a layer a workload only reaches during set-up still
+    speed (see speed.py).
+    Times are means over every traced call, set-up and desk check
+    included, so a layer a workload only reaches outside its ops still
     reports a measured time.
     Counts are per timed round, and rounds repeat the same ops, so they
     repeat exactly from run to run.  Construction sizes are summed over
@@ -106,7 +108,7 @@ def layer_metrics(tracer: Tracer, traced_rounds: int, traced_setups: int,
             totals[name, key] += value
             if op == SETUP:
                 per_setup[name, key] += value / traced_setups
-            else:
+            elif op != CHECK:
                 per_round[name, key] += value / traced_rounds
 
     def mean(name, scale):
@@ -119,7 +121,8 @@ def layer_metrics(tracer: Tracer, traced_rounds: int, traced_setups: int,
 
     def calls_per_round(name):
         return sum(1 for span in tracer.spans
-                   if span[0] == name and span[4] != SETUP) / traced_rounds
+                   if span[0] == name and span[4] not in (SETUP, CHECK)
+                   ) / traced_rounds
 
     run, enum, equal = ("simulate.run", "oracle.enumerate_accepted",
                         "oracle.equivalent_up_to")

@@ -157,9 +157,10 @@ def membership_workload(desk, rng) -> list:
 
 # --- long_run ----------------------------------------------------------------
 
-# One center length and four balance runs (a fifth of the ops) keep the
-# median among the center runs and p90 among the balance runs.
-CENTER_WORDS, CENTER_LENGTH = 8, 501
+# One center length and four balance runs (a seventh of the ops) keep the
+# median among the center runs and p90 among the balance runs.  Sixteen
+# center words give the median that many attempts per round.
+CENTER_WORDS, CENTER_LENGTH = 16, 501
 COPY_LENGTHS = (200, 220, 240, 260, 280, 300)  # |u| in #u#u
 LONG_PINNED = {
     ("power_of_two", "a^65536"): ("a",) * 65536,
