@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (Fr1tassError, ValueError, OSError) as err:
+    except (Fr1tassError, ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

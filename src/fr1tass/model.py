@@ -11,6 +11,7 @@ accepting state is entered (AS mode) or when the tape becomes empty
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -124,17 +125,22 @@ class Machine:
     mode: Mode
     accepts_empty: bool = False
     metadata: dict = field(default_factory=dict, compare=False, repr=False)
+    # the run engine's tables, built on first use (see simulate._compile)
+    _compiled: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for state in self.states:
-            _check_token(state, "state")
-        _check_token(self.start, "state")
+        # each distinct token is checked once, in the order first met
+        kinds = dict.fromkeys(self.states, "state")
+        kinds.setdefault(self.start, "state")
         for (q, a), (q2, out) in self.transitions.items():
-            _check_token(q, "state")
-            _check_token(q2, "state")
-            _check_token(a, "letter")
+            kinds.setdefault(q, "state")
+            kinds.setdefault(q2, "state")
+            kinds.setdefault(a, "letter")
             if out is not None:
-                _check_token(out, "letter")
+                kinds.setdefault(out, "letter")
+        for token, what in kinds.items():
+            _check_token(token, what)
+        object.__setattr__(self, "_compiled", None)
 
     def rank(self, letter: str) -> int:
         return self.tape.rank(letter)
@@ -191,10 +197,10 @@ _DIRECTIVES = ("input", "tape", "start", "accept", "mode", "empty", "trans")
 
 
 def _tokenize(text: str):
-    """Yield (line number, [tokens]) for non-blank lines, comments stripped."""
+    """Yield (line number, [interned tokens]) for non-blank lines."""
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(COMMENT_MARK, 1)[0]
-        tokens = line.split()
+        tokens = list(map(sys.intern, line.split()))
         if tokens:
             yield number, tokens
 
@@ -211,22 +217,26 @@ def parse_machine(text: str, strict: bool = True) -> Machine:
     (input letters missing from the tape, unknown letters, rank-raising
     outputs) are let through so validate can report them all at once.
     """
-    lines = list(_tokenize(text))
-    pos = 0
-    last_line = lines[-1][0] if lines else 1
+    lines = _tokenize(text)
+    ahead = next(lines, None)  # the next line, not yet consumed
+    last_line = 1  # the last line consumed
+
+    def take():
+        nonlocal ahead, last_line
+        (last_line, tokens), ahead = ahead, next(lines, None)
+        return last_line, tokens
 
     def expect(directive: str, optional: bool = False):
-        nonlocal pos
-        if pos >= len(lines):
+        if ahead is None:
             if optional:
                 return None
             raise ParseError(last_line, f"missing '{directive}:' directive")
-        number, tokens = lines[pos]
+        number, tokens = ahead
         if tokens[0] != directive + ":":
             if optional:
                 return None
             raise ParseError(number, f"expected '{directive}:', got {tokens[0]!r}")
-        pos += 1
+        take()
         return number, tokens[1:]
 
     def letters_of(tokens, number, what):
@@ -276,9 +286,8 @@ def parse_machine(text: str, strict: bool = True) -> Machine:
         accepts_empty = empty_tokens[0] == "true"
 
     transitions: dict = {}
-    while pos < len(lines):
-        number, tokens = lines[pos]
-        pos += 1
+    while ahead is not None:
+        number, tokens = take()
         if tokens[0] != "trans:":
             raise ParseError(number, f"expected 'trans:', got {tokens[0]!r}")
         body = tokens[1:]

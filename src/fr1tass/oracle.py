@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -37,36 +36,41 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     if m.mode is Mode.ET or m.accepts_empty:
         accepted.add(())
     sigma = sorted(m.input_alphabet, key=m.tape.rank)
-    as_mode = m.mode is Mode.AS
-
-    def whole_cone(prefix: Word):
-        accepted.add(prefix)
-        if len(prefix) < max_len:
-            for a in sigma:
-                whole_cone(prefix + (a,))
-
-    def visit(state: str, appended: Word, prefix: Word):
-        if prefix:
-            verdict, _, _, _ = _core(
-                comp, state, deque(appended), 2, prefix, len(prefix),
-                _budget(comp, len(prefix)), False, None)
-            if verdict is Verdict.ACCEPTED:
-                accepted.add(prefix)
-        if len(prefix) == max_len:
-            return
-        row = comp.delta.get(state, {})
-        for a in sigma:
-            hit = row.get(a)
-            if hit is None:
-                continue
-            q2, out = hit
-            if as_mode and q2 in comp.accepting:
-                whole_cone(prefix + (a,))
-                continue
-            visit(q2, appended if out is None else appended + (out,),
-                  prefix + (a,))
-
-    visit(m.start, (), ())
+    codes = [comp.code[a] for a in sigma]
+    # the current node's word, its letter codes and what its first sweep wrote
+    prefix, coded, appended = [], [], []
+    # per node on the path from the root: the row its first sweep reached,
+    # the index of its next child letter, and len(appended) at the node
+    stack = [(comp.start, 0, 0)]
+    while stack:
+        row, i, mark = stack[-1]
+        depth = len(stack) - 1
+        del prefix[depth:], coded[depth:], appended[mark:]
+        if i == len(sigma) or depth == max_len:
+            stack.pop()
+            continue
+        stack[-1] = (row, i + 1, mark)
+        at = row + codes[i]
+        target = comp.next_row[at]
+        if target == -1:
+            continue
+        if target < -1:
+            # an accepting state entered during the first sweep
+            head = (*prefix, sigma[i])
+            for r in range(max_len - depth):
+                accepted.update(head + tail
+                                for tail in itertools.product(sigma, repeat=r))
+            continue
+        prefix.append(sigma[i])
+        coded.append(codes[i])
+        if comp.output[at] >= 0:
+            appended.append(comp.output[at])
+        stack.append((target, 0, len(appended)))
+        verdict, _, _, _ = _core(
+            comp, target, tuple(appended), 2, tuple(coded), depth + 1,
+            _budget(m, depth + 1), False, None)
+        if verdict is Verdict.ACCEPTED:
+            accepted.add(tuple(prefix))
     return accepted
 
 

@@ -12,7 +12,6 @@ engine rejects such runs instead of spinning forever.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -127,75 +126,112 @@ def sweep_bound(m: Machine, n: int) -> int:
 
 @dataclass(frozen=True)
 class _Compiled:
-    delta: dict  # state -> {letter: (state, out)}
-    accepting: frozenset
-    mode: Mode
-    state_count: int
+    """A machine's table with letters coded in tape order (then any letter
+    an unvalidated machine uses off the tape) and each state by its row,
+    index * stride.  ``next_row[row + letter]`` is the next row, -1 for no
+    transition and ``-2 - row`` for an accepting row in AS mode;
+    ``output[row + letter]`` is the letter written, -1 for an erasure."""
+
+    letters: tuple
+    code: dict
+    states: tuple
+    stride: int
+    start: int
+    next_row: tuple
+    output: tuple
+    as_mode: bool
     accepts_empty: bool
-    gamma_size: int
+    state_count: int
 
 
 def _compile(m: Machine) -> _Compiled:
-    delta: dict = {}
-    for (q, a), target in m.transitions.items():
-        delta.setdefault(q, {})[a] = target
-    return _Compiled(delta=delta, accepting=m.accepting, mode=m.mode,
-                     state_count=len(m.states), accepts_empty=m.accepts_empty,
-                     gamma_size=len(m.tape))
+    """The compiled form of m, built on first use and kept on m."""
+    if m._compiled is not None:
+        return m._compiled
+    items = m.transitions.items()
+    letters = tuple(dict.fromkeys([
+        *m.tape.letters, *sorted(m.input_alphabet),
+        *(x for (_, a), (_, out) in items for x in (a, out) if x is not None)]))
+    states = tuple(dict.fromkeys([
+        m.start, *sorted(m.states), *(x for (q, _), (q2, _) in items
+                                      for x in (q, q2))]))
+    code = {x: i for i, x in enumerate(letters)}
+    stride = max(len(letters), 1)
+    row = {q: i * stride for i, q in enumerate(states)}
+    as_mode = m.mode is Mode.AS
+    target = {q: -2 - r if as_mode and q in m.accepting else r
+              for q, r in row.items()}
+    next_row = [-1] * (len(states) * stride)
+    output = next_row.copy()
+    for (q, a), (q2, out) in items:
+        next_row[row[q] + code[a]] = target[q2]
+        if out is not None:
+            output[row[q] + code[a]] = code[out]
+    object.__setattr__(m, "_compiled", _Compiled(
+        letters=letters, code=code, states=states, stride=stride,
+        start=row[m.start], next_row=tuple(next_row), output=tuple(output),
+        as_mode=as_mode, accepts_empty=m.accepts_empty,
+        state_count=len(m.states)))
+    return m._compiled
 
 
-def _budget(comp: _Compiled, n: int) -> int:
-    sweeps = (n + n * (comp.gamma_size - 1) + 1) * (comp.state_count + 1)
-    return sweeps * max(n, 1) + n + 1
+def _budget(m: Machine, n: int) -> int:
+    return sweep_bound(m, n) * max(n, 1) + n + 1
 
 
-def _core(comp: _Compiled, state: str, tape: deque, sweep_index: int,
-          prev_tape: Optional[Word], steps: int, budget: int,
+def _core(comp: _Compiled, row: int, tape: tuple, sweep_index: int,
+          prev_tape: Optional[tuple], steps: int, budget: int,
           budget_is_user: bool, records: Optional[list]):
-    """Run from a sweep boundary; returns (verdict, state, steps, sweeps)."""
-    delta = comp.delta
-    accepting = comp.accepting
-    as_mode = comp.mode is Mode.AS
+    """Run from a sweep boundary on a coded tape, one sweep per pass;
+    returns (verdict, row of the last state, steps, sweeps)."""
+    next_row, output = comp.next_row, comp.output
     unchanged = 0
-    while True:
-        if not tape:
-            if as_mode and not (steps == 0 and comp.accepts_empty):
-                return Verdict.REJECTED_EMPTY_TAPE, state, steps, sweep_index - 1
-            return Verdict.ACCEPTED, state, steps, sweep_index - 1
-        cur = tuple(tape)
+    while tape:
         if sweep_index == 1:
             case = None
-        elif len(cur) < len(prev_tape):
+        elif len(tape) < len(prev_tape):
             case = SweepCase.SHRUNK
-        elif cur == prev_tape:
+        elif tape == prev_tape:
             case = SweepCase.UNCHANGED
         else:
             case = SweepCase.REWROTE
         unchanged = unchanged + 1 if case is SweepCase.UNCHANGED else 0
         if records is not None:
-            records.append(SweepRecord(index=sweep_index, start_state=state,
-                                       start_tape=cur, length=len(cur), case=case))
+            records.append(SweepRecord(
+                index=sweep_index, start_state=comp.states[row // comp.stride],
+                start_tape=tuple(comp.letters[c] for c in tape),
+                length=len(tape), case=case))
         if unchanged > comp.state_count:
             # state must have repeated on identical sweep-start tapes
-            return Verdict.REJECTED_LOOP, state, steps, sweep_index
-        prev_tape = cur
-        for _ in range(len(cur)):
-            if steps >= budget:
-                if budget_is_user:
-                    raise LimitExceededError(f"step limit of {budget} exhausted")
-                raise RuntimeError("internal step budget exhausted")
-            row = delta.get(state)
-            hit = row.get(tape[0]) if row is not None else None
-            if hit is None:
-                return Verdict.REJECTED_STUCK, state, steps, sweep_index
-            tape.popleft()
-            state, out = hit
-            if out is not None:
-                tape.append(out)
-            steps += 1
-            if as_mode and state in accepting:
-                return Verdict.ACCEPTED, state, steps, sweep_index
+            return Verdict.REJECTED_LOOP, row, steps, sweep_index
+        room = budget - steps
+        written: list = []
+        write = written.append
+        erased = 0  # with len(written), the steps taken in this sweep
+        for c in tape if len(tape) <= room else tape[:room]:
+            at = row + c
+            row = next_row[at]
+            if row < 0:
+                steps += len(written) + erased
+                if row == -1:
+                    return Verdict.REJECTED_STUCK, at - c, steps, sweep_index
+                return Verdict.ACCEPTED, -2 - row, steps + 1, sweep_index
+            out = output[at]
+            if out >= 0:
+                write(out)
+            else:
+                erased += 1
+        if len(tape) > room:
+            if budget_is_user:
+                raise LimitExceededError(f"step limit of {budget} exhausted")
+            raise RuntimeError("internal step budget exhausted")
+        steps += len(tape)
+        # each sweep consumes its whole start tape, so what it wrote is the next
+        prev_tape, tape = tape, tuple(written)
         sweep_index += 1
+    if comp.as_mode and not (steps == 0 and comp.accepts_empty):
+        return Verdict.REJECTED_EMPTY_TAPE, row, steps, sweep_index - 1
+    return Verdict.ACCEPTED, row, steps, sweep_index - 1
 
 
 def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> RunResult:
@@ -206,11 +242,12 @@ def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> 
     if limits.max_steps is not None:
         budget, budget_is_user = limits.max_steps, True
     else:
-        budget, budget_is_user = _budget(comp, len(w)), False
-    verdict, state, steps, sweeps = _core(
-        comp, m.start, deque(w), 1, None, 0, budget, budget_is_user, records)
-    return RunResult(verdict=verdict, halting_state=state, sweeps=records,
-                     total_steps=steps, total_sweeps=sweeps)
+        budget, budget_is_user = _budget(m, len(w)), False
+    verdict, row, steps, sweeps = _core(
+        comp, comp.start, tuple(map(comp.code.__getitem__, w)), 1, None, 0,
+        budget, budget_is_user, records)
+    return RunResult(verdict=verdict, halting_state=comp.states[row // comp.stride],
+                     sweeps=records, total_steps=steps, total_sweeps=sweeps)
 
 
 def accepts(m: Machine, word: Iterable[str]) -> bool:

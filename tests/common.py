@@ -1,9 +1,12 @@
 """Machines, DFAs and helpers shared across the test modules."""
 
 import itertools
+import random
 
 from fr1tass.model import Mode, make_machine
-from fr1tass.simulate import accepts
+from fr1tass.simulate import (Halted, HaltReason, RunResult, SweepCase,
+                              SweepRecord, Verdict, accepts,
+                              initial_configuration, step)
 from fr1tass.transform import DfaSpec, from_dfa
 
 
@@ -68,3 +71,74 @@ def run_language(m, max_len: int) -> set:
     """Accepted words up to max_len, one full run per word."""
     return {w for w in words(sorted(m.input_alphabet), max_len)
             if accepts(m, w)}
+
+
+def random_machine(seed: int):
+    """Seeded random freezing machine over up to three input letters, with
+    up to two working letters, erasures, and either acceptance mode."""
+    rng = random.Random(seed)
+    sigma = ("a", "b", "c")[:rng.randint(1, 3)]
+    tape = list(sigma) + ["X", "Y"][:rng.randint(0, 2)]
+    rng.shuffle(tape)
+    states = [f"q{i}" for i in range(rng.randint(1, 4))]
+    transitions = {}
+    for q in states:
+        for rank, x in enumerate(tape):
+            if rng.random() < 0.8:
+                out = None if rng.random() < 0.3 else tape[rng.randint(0, rank)]
+                transitions[(q, x)] = (rng.choice(states), out)
+    mode = rng.choice((Mode.AS, Mode.ET))
+    as_mode = mode is Mode.AS
+    accepting = [q for q in states if as_mode and rng.random() < 0.3]
+    return make_machine(sigma=sigma, tape=tape, start="q0",
+                        accepting=accepting, transitions=transitions,
+                        mode=mode, extra_states=states,
+                        accepts_empty=as_mode and rng.random() < 0.3)
+
+
+def reference_run(m, word, max_steps: int = 10**6) -> RunResult:
+    """The traced run of m on word, one step at a time.
+
+    Loops are cut by the engine's rule: more unchanged sweep-start tapes in
+    a row than there are states.  Each cut is certified against the set of
+    sweep-start configurations already visited.
+    """
+    c = initial_configuration(m, word)
+    records, visited = [], set()
+    prev, unchanged = None, 0
+    while c.steps_taken < max_steps:
+        if c.steps_into_sweep == 0 and c.tape:
+            if c.sweep_index == 1:
+                case = None
+            elif len(c.tape) < len(prev):
+                case = SweepCase.SHRUNK
+            elif c.tape == prev:
+                case = SweepCase.UNCHANGED
+            else:
+                case = SweepCase.REWROTE
+            unchanged = unchanged + 1 if case is SweepCase.UNCHANGED else 0
+            records.append(SweepRecord(index=c.sweep_index, start_state=c.state,
+                                       start_tape=c.tape, length=len(c.tape),
+                                       case=case))
+            if unchanged > len(m.states):
+                assert (c.state, c.tape) in visited, "loop cut without a repeat"
+                return RunResult(Verdict.REJECTED_LOOP, c.state, records,
+                                 c.steps_taken, c.sweep_index)
+            visited.add((c.state, c.tape))
+            prev = c.tape
+        nxt = step(m, c)
+        if isinstance(nxt, Halted):
+            if nxt.reason is HaltReason.STUCK:
+                verdict, sweeps = Verdict.REJECTED_STUCK, c.sweep_index
+            else:
+                sweeps = c.sweep_index - 1
+                verdict = Verdict.ACCEPTED
+                if m.mode is Mode.AS and not (c.steps_taken == 0
+                                              and m.accepts_empty):
+                    verdict = Verdict.REJECTED_EMPTY_TAPE
+            return RunResult(verdict, c.state, records, c.steps_taken, sweeps)
+        if m.mode is Mode.AS and nxt.state in m.accepting:
+            return RunResult(Verdict.ACCEPTED, nxt.state, records,
+                             nxt.steps_taken, c.sweep_index)
+        c = nxt
+    raise AssertionError(f"no verdict within {max_steps} steps")

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from fr1tass import oracle
 from fr1tass.cli import main
 from fr1tass.gallery import (PcpInstance, balance_ab_et, pcp_machine,
                              power_of_two)
@@ -130,6 +131,21 @@ def test_run_rejects_foreign_letters(power_file, capsys):
 def test_enumerate_output(balance_file, capsys):
     assert main(["enumerate", balance_file, "--max-len", "2"]) == 0
     assert capsys.readouterr().out == "\na\na b\nb a\n"
+
+
+def test_enumerate_deep_prefix_tree(power_file, capsys):
+    assert main(["enumerate", power_file, "--max-len", "1200"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == " ".join("a" * 1024)
+
+
+def test_runtime_errors_exit_two(power_file, monkeypatch, capsys):
+    def fail(m, max_len):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(oracle, "enumerate_accepted", fail)
+    assert main(["enumerate", power_file, "--max-len", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: maximum recursion depth exceeded\n")
 
 
 def test_enumerate_requires_bound(balance_file, capsys):

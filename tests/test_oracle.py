@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import all_a, even_length, pure_loop
+from common import all_a, even_length, pure_loop, random_machine
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (PcpInstance, balance_ab_et, center_language,
                              encode_pcp_candidate, marked_copy, pcp_machine,
@@ -40,6 +40,23 @@ def test_enumerate_includes_empty_word_rules():
     assert () in enumerate_accepted(balance_ab_et(), 3)
     assert () in enumerate_accepted(even_length(), 3)
     assert () not in enumerate_accepted(power_of_two(), 3)
+
+
+def test_enumerate_deep_prefix_tree():
+    got = enumerate_accepted(power_of_two(), 1200)
+    assert got == {("a",) * 2 ** k for k in range(11)}
+
+
+def test_enumerate_matches_naive_scan_on_random_general_machines():
+    for seed in range(150):
+        m = random_machine(seed)
+        assert enumerate_accepted(m, 4) == _enumerate_naive(m, 4), seed
+
+
+def test_enumerate_on_empty_tape_alphabet():
+    m = make_machine(sigma=(), tape=(), start="s", accepting=(),
+                     transitions={}, mode=Mode.AS)
+    assert enumerate_accepted(m, 3) == set()
 
 
 def test_enumerate_handles_whole_cones():

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import all_a, pure_loop, run_language, words
+from common import (all_a, pure_loop, random_machine, reference_run,
+                    run_language, words)
 from fr1tass.exceptions import LimitExceededError
 from fr1tass.gallery import (GALLERY, balance_ab_et, marked_copy,
                              power_of_two, random_unary_noaux)
-from fr1tass.model import Mode, make_machine
+from fr1tass.model import Mode, make_machine, validate
 from fr1tass.simulate import (Configuration, Halted, HaltReason, RunLimits,
                               SweepCase, Verdict, accepts, flatten_trace,
                               initial_configuration, run, step, sweep_bound)
@@ -217,3 +218,43 @@ def test_flattened_accepted_inputs_stay_accepted(seed, states):
         flat = flatten_trace(m, w)
         assert flat is not None
         assert accepts(m, flat), (seed, w, flat)
+
+
+# ------------------------------------------- engine against step reference
+
+def assert_matches_reference(m, max_len):
+    for w in words(sorted(m.input_alphabet), max_len):
+        assert run(m, w, RunLimits(trace=True)) == reference_run(m, w), w
+
+
+def test_run_matches_step_reference_on_gallery():
+    for build in GALLERY.values():
+        assert_matches_reference(build(), 5)
+
+
+@pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
+def test_run_matches_step_reference_on_random_machines(seeds):
+    for seed in seeds:
+        m = random_machine(seed)
+        assert validate(m) == []
+        assert_matches_reference(m, 4)
+
+
+def test_run_on_empty_tape_alphabet():
+    for mode, accepts_empty in ((Mode.AS, False), (Mode.AS, True),
+                                (Mode.ET, False)):
+        m = make_machine(sigma=(), tape=(), start="s", accepting=(),
+                         transitions={}, mode=mode, accepts_empty=accepts_empty)
+        assert run(m, (), RunLimits(trace=True)) == reference_run(m, ())
+
+
+def test_run_on_letters_off_the_tape():
+    # unvalidated: input letter b and transition letter z are not on the tape
+    m = make_machine(sigma=("a", "b"), tape=("a",), start="s", accepting=(),
+                     transitions={("s", "a"): ("s", "a"),
+                                  ("s", "z"): ("s", "a")}, mode=Mode.AS)
+    assert validate(m) != []
+    result = run(m, "ab")
+    assert result.verdict is Verdict.REJECTED_STUCK
+    assert (result.total_steps, result.total_sweeps) == (1, 1)
+    assert_matches_reference(m, 4)
