@@ -166,12 +166,6 @@ def center_language() -> Machine:
 # --- correspondence instances ------------------------------------------------
 
 
-def _letters(word) -> Word:
-    if isinstance(word, str):
-        return tuple(word)
-    return tuple(word)
-
-
 @dataclass(frozen=True)
 class PcpInstance:
     """Matched word pairs (u_i, v_i) over a base alphabet.
@@ -186,8 +180,8 @@ class PcpInstance:
     base_alphabet: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "u_words", tuple(map(_letters, self.u_words)))
-        object.__setattr__(self, "v_words", tuple(map(_letters, self.v_words)))
+        object.__setattr__(self, "u_words", tuple(map(tuple, self.u_words)))
+        object.__setattr__(self, "v_words", tuple(map(tuple, self.v_words)))
         object.__setattr__(self, "base_alphabet", tuple(self.base_alphabet))
         if not self.u_words or len(self.u_words) != len(self.v_words):
             raise PcpInstanceError("need equally many nonempty u- and v-words")

@@ -19,6 +19,12 @@ from .model import Machine, Mode, Word
 from .simulate import Verdict, _budget, _compile, _core, accepts
 
 
+# completion runs after which enumerate_accepted keeps its verdict table
+# only if more than this share of them ended on a known sweep boundary
+_MEMO_PROBE_RUNS = 512
+_MEMO_HIT_SHARE = 0.5
+
+
 def enumerate_accepted(m: Machine, max_len: int) -> set:
     """All accepted words of length at most max_len.
 
@@ -28,6 +34,13 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     their recorded mid-run position.  A prefix that gets stuck during the
     first sweep kills its whole subtree, and a halting acceptance during
     the first sweep accepts the whole subtree.
+
+    Completion runs share one verdict table keyed by (state, tape) at every
+    sweep boundary they meet.  The machine is deterministic and loop
+    detection is exact, so a boundary's verdict is that of the run through
+    it, even one met inside a streak of unchanged tapes.  After the first
+    _MEMO_PROBE_RUNS completion runs the table is dropped unless more than
+    _MEMO_HIT_SHARE of them ended on a known boundary.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
@@ -42,6 +55,10 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     # per node on the path from the root: the row its first sweep reached,
     # the index of its next child letter, and len(appended) at the node
     stack = [(comp.start, 0, 0)]
+    budgets: list = []  # budgets[d] bounds a completion run of length d + 1
+    memo: Optional[dict] = {}
+    passed: Optional[list] = []
+    runs = hits = 0
     while stack:
         row, i, mark = stack[-1]
         depth = len(stack) - 1
@@ -66,9 +83,19 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
         if comp.output[at] >= 0:
             appended.append(comp.output[at])
         stack.append((target, 0, len(appended)))
-        verdict, _, _, _ = _core(
+        if depth == len(budgets):
+            budgets.append(_budget(m, depth + 1))
+        verdict, _, _, sweeps = _core(
             comp, target, tuple(appended), 2, tuple(coded), depth + 1,
-            _budget(m, depth + 1), False, None)
+            budgets[depth], False, None, memo, passed)
+        if memo is not None:
+            hits += sweeps is None
+            for key in passed:
+                memo[key] = verdict
+            passed.clear()
+            runs += 1
+            if runs == _MEMO_PROBE_RUNS and hits <= _MEMO_HIT_SHARE * runs:
+                memo = passed = None
         if verdict is Verdict.ACCEPTED:
             accepted.add(tuple(prefix))
     return accepted

@@ -181,12 +181,23 @@ def _budget(m: Machine, n: int) -> int:
 
 def _core(comp: _Compiled, row: int, tape: tuple, sweep_index: int,
           prev_tape: Optional[tuple], steps: int, budget: int,
-          budget_is_user: bool, records: Optional[list]):
+          budget_is_user: bool, records: Optional[list],
+          memo: Optional[dict] = None, passed: Optional[list] = None):
     """Run from a sweep boundary on a coded tape, one sweep per pass;
-    returns (verdict, row of the last state, steps, sweeps)."""
+    returns (verdict, row of the last state, steps, sweeps).
+
+    With a memo, a sweep boundary (row, tape) found in it ends the run with
+    its verdict and sweeps None; every other boundary met is appended to
+    passed, for the caller to file under the final verdict."""
     next_row, output = comp.next_row, comp.output
     unchanged = 0
     while tape:
+        if memo is not None:
+            key = (row, tape)
+            known = memo.get(key)
+            if known is not None:
+                return known, row, steps, None
+            passed.append(key)
         if sweep_index == 1:
             case = None
         elif len(tape) < len(prev_tape):

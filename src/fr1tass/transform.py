@@ -301,11 +301,6 @@ def _product(a: Machine, b: Machine, keep_one: bool) -> Machine:
         combos += [(bot, q) for q in sorted(b2.states)]
     state = _joint_names(combos, ())
 
-    def accepting_pair(p, q):
-        if keep_one:
-            return p in a2.accepting or q in b2.accepting
-        return p in a2.accepting and q in b2.accepting
-
     t: dict = {}
     for p, q in combos:
         reads = ([(x, x, x) for x in sigma] +

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes and output shapes."""
 
+import os
 import subprocess
 import sys
 
@@ -297,8 +298,13 @@ def test_dot_output(power_file, tmp_path, capsys):
 # -------------------------------------------------------------- entry point
 
 def test_module_entry_point():
+    # the child finds the package where this process found it
+    package_root = os.path.dirname(os.path.dirname(oracle.__file__))
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "fr1tass.cli",
                            "gallery", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "power_of_two"

@@ -1,7 +1,11 @@
 """Core data model: alphabets, validation, the file format, rendering."""
 
+import random
+import re
+
 import pytest
 
+from common import random_machine
 from fr1tass.exceptions import Fr1tassError
 from fr1tass.gallery import GALLERY, power_of_two
 from fr1tass.model import (Machine, Mode, OrderedAlphabet, ParseError,
@@ -218,6 +222,43 @@ def test_lenient_parse_defers_rule_checks_to_validate():
     assert ViolationCode.SIGMA_NOT_IN_GAMMA in codes
     assert ViolationCode.NON_FREEZING in codes
     assert ViolationCode.UNKNOWN_LETTER in codes
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """text with one to three tokens or lines dropped, duplicated or swapped."""
+    if rng.random() < 0.5:
+        units, glue = text.splitlines(), "\n"
+    else:
+        units, glue = re.findall(r"\S+|\n", text), " "
+    for _ in range(rng.randint(1, 3)):
+        if not units:
+            break
+        i, j = rng.randrange(len(units)), rng.randrange(len(units))
+        kind = rng.choice(("drop", "duplicate", "swap"))
+        if kind == "drop":
+            del units[i]
+        elif kind == "duplicate":
+            units.insert(j, units[i])
+        else:
+            units[i], units[j] = units[j], units[i]
+    return glue.join(units)
+
+
+def test_strict_parse_raises_or_validates_cleanly():
+    outcomes = {"parsed": 0, "raised": 0}
+    for seed in range(200):
+        text = serialize_machine(random_machine(seed))
+        assert validate(parse_machine(text)) == [], seed
+        rng = random.Random(seed)
+        for _ in range(25):
+            try:
+                m = parse_machine(_mutant(text, rng))
+            except ParseError:
+                outcomes["raised"] += 1
+                continue
+            outcomes["parsed"] += 1
+            assert validate(m) == [], seed
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_lenient_parse_still_rejects_shape_problems():

@@ -5,19 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import all_a, even_length, pure_loop, random_machine
+from fr1tass import oracle
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (PcpInstance, balance_ab_et, center_language,
                              encode_pcp_candidate, marked_copy, pcp_machine,
                              power_of_two, random_unary_noaux)
 from fr1tass.model import Mode, make_machine
-from fr1tass.oracle import (Counterexample, UnaryClass, UnaryKind,
-                            _enumerate_naive, classify_unary_noaux,
+from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
+                            UnaryKind, _enumerate_naive, classify_unary_noaux,
                             enumerate_accepted, equivalent_up_to,
                             has_strongly_equivalent_states, is_balanced_ab,
                             is_center_a, is_marked_copy, is_palindrome,
                             is_power_of_two_block, matches_predicate_up_to,
                             pcp_solution_encoding, regular)
 from fr1tass.simulate import accepts
+from fr1tass.transform import et_to_as
 
 INSTANCE = PcpInstance(u_words=("a", "ab"), v_words=("aa", "b"),
                        base_alphabet=("a", "b"))
@@ -82,6 +84,50 @@ def test_enumerate_matches_naive_scan_on_random_machines(seed, n_states):
     assert enumerate_accepted(m, 9) == _enumerate_naive(m, 9)
 
 
+def _table_use(monkeypatch) -> dict:
+    """Counts enumerate_accepted's completion runs made with (True) and
+    without (False) the verdict table."""
+    used = {True: 0, False: 0}
+    core = oracle._core
+
+    def counted(*args):
+        used[args[9] is not None] += 1
+        return core(*args)
+
+    monkeypatch.setattr(oracle, "_core", counted)
+    return used
+
+
+@pytest.mark.parametrize("build, kept", [
+    (balance_ab_et, True),
+    (lambda: et_to_as(balance_ab_et()), True),
+    (center_language, False),
+], ids=["balance_ab_et", "et_to_as_balance", "center_language"])
+def test_enumerate_verdict_table_past_the_probe(monkeypatch, build, kept):
+    m = build()
+    used = _table_use(monkeypatch)
+    assert enumerate_accepted(m, 10) == _enumerate_naive(m, 10)
+    assert used[True] >= _MEMO_PROBE_RUNS
+    assert (used[False] == 0) is kept
+
+
+def test_enumerate_verdict_table_on_random_general_machines(monkeypatch):
+    used = _table_use(monkeypatch)
+    seeds = [seed for seed in range(100)
+             if len(random_machine(seed).input_alphabet) > 1][:40]
+    kept = dropped = 0
+    for seed in seeds:
+        m = random_machine(seed)
+        n = 6 if len(m.input_alphabet) == 3 else 9
+        before = dict(used)
+        assert enumerate_accepted(m, n) == _enumerate_naive(m, n), seed
+        if used[False] > before[False]:
+            dropped += 1
+        elif used[True] - before[True] > _MEMO_PROBE_RUNS:
+            kept += 1
+    assert kept and dropped  # both sides of the probe were checked
+
+
 # --------------------------------------------------------------- comparison
 
 def test_equivalent_up_to_finds_least_counterexample():
@@ -104,6 +150,10 @@ def test_equivalent_up_to_orders_by_rank_after_length():
     cex = equivalent_up_to(lower, higher, 4)
     assert cex.word == ("a",)
     assert cex.in_first and not cex.in_second
+
+
+def test_balance_bridge_is_equivalent():
+    assert equivalent_up_to(balance_ab_et(), et_to_as(balance_ab_et()), 10) is None
 
 
 def test_equivalent_up_to_rejects_mismatched_alphabets():
