@@ -16,13 +16,16 @@ from typing import Callable, Optional
 from .exceptions import AlphabetMismatchError, PreconditionError
 from .gallery import PcpInstance, encode_pcp_candidate
 from .model import Machine, Mode, Word
-from .simulate import Verdict, _budget, _compile, _core, accepts
+from .simulate import (Verdict, _budget, _compile, _core, _tape_type,
+                       accepts)
 
 
 # completion runs after which enumerate_accepted keeps its verdict table
 # only if more than this share of them ended on a known sweep boundary
 _MEMO_PROBE_RUNS = 512
 _MEMO_HIT_SHARE = 0.5
+# the most keys a kept table holds; once full, lookups go on
+_MEMO_MAX_KEYS = 1 << 16
 
 
 def enumerate_accepted(m: Machine, max_len: int) -> set:
@@ -40,7 +43,8 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     detection is exact, so a boundary's verdict is that of the run through
     it, even one met inside a streak of unchanged tapes.  After the first
     _MEMO_PROBE_RUNS completion runs the table is dropped unless more than
-    _MEMO_HIT_SHARE of them ended on a known boundary.
+    _MEMO_HIT_SHARE of them ended on a known boundary.  A run's boundaries
+    are filed only if the table then holds at most _MEMO_MAX_KEYS.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
@@ -56,6 +60,7 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     # the index of its next child letter, and len(appended) at the node
     stack = [(comp.start, 0, 0)]
     budgets: list = []  # budgets[d] bounds a completion run of length d + 1
+    tape_of = _tape_type(comp, max_len)
     memo: Optional[dict] = {}
     passed: Optional[list] = []
     runs = hits = 0
@@ -86,13 +91,15 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
         if depth == len(budgets):
             budgets.append(_budget(m, depth + 1))
         verdict, _, _, sweeps = _core(
-            comp, target, tuple(appended), 2, tuple(coded), depth + 1,
+            comp, target, tape_of(appended), 2, tape_of(coded), depth + 1,
             budgets[depth], False, None, memo, passed)
         if memo is not None:
             hits += sweeps is None
-            for key in passed:
-                memo[key] = verdict
-            passed.clear()
+            if passed:
+                if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
+                    for key in passed:
+                        memo[key] = verdict
+                passed.clear()
             runs += 1
             if runs == _MEMO_PROBE_RUNS and hits <= _MEMO_HIT_SHARE * runs:
                 memo = passed = None

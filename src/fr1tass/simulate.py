@@ -7,11 +7,18 @@ one, the tape never grows, so each sweep start can be compared against the
 previous one.  A long enough run of unchanged sweep-start tapes forces a
 state to repeat on identical tapes, which proves the run is circling; the
 engine rejects such runs instead of spinning forever.
+
+Freezing bounds how often a letter is rewritten, so long runs spend most
+steps in cells (q, x) -> (q, y).  On bytes tapes (see _BLOCK_MIN) a sweep
+copies each block of letters its state loops on in one regex match and
+one bytes.translate, with tables built on first use (_block_tables).
 """
 
 from __future__ import annotations
 
 import enum
+import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -130,7 +137,10 @@ class _Compiled:
     an unvalidated machine uses off the tape) and each state by its row,
     index * stride.  ``next_row[row + letter]`` is the next row, -1 for no
     transition and ``-2 - row`` for an accepting row in AS mode;
-    ``output[row + letter]`` is the letter written, -1 for an erasure."""
+    ``output[row + letter]`` is the letter written, -1 for an erasure.
+    Tapes of at least ``gate`` letters are bytes and shorter ones tuples,
+    so the format depends only on the length and equal tapes compare
+    equal."""
 
     letters: tuple
     code: dict
@@ -142,6 +152,13 @@ class _Compiled:
     as_mode: bool
     accepts_empty: bool
     state_count: int
+    gate: int
+    blocks: Optional[tuple] = None
+
+
+# The gate of a machine with a self-loop cell and at most 256 letters; on
+# shorter tapes blocks are short and a regex call costs more than it saves.
+_BLOCK_MIN = 32
 
 
 def _compile(m: Machine) -> _Compiled:
@@ -163,33 +180,65 @@ def _compile(m: Machine) -> _Compiled:
               for q, r in row.items()}
     next_row = [-1] * (len(states) * stride)
     output = next_row.copy()
+    loops = False
     for (q, a), (q2, out) in items:
-        next_row[row[q] + code[a]] = target[q2]
+        at = row[q] + code[a]
+        next_row[at] = target[q2]
+        loops = loops or target[q2] == row[q]
         if out is not None:
-            output[row[q] + code[a]] = code[out]
+            output[at] = code[out]
     object.__setattr__(m, "_compiled", _Compiled(
         letters=letters, code=code, states=states, stride=stride,
         start=row[m.start], next_row=tuple(next_row), output=tuple(output),
         as_mode=as_mode, accepts_empty=m.accepts_empty,
-        state_count=len(m.states)))
+        state_count=len(m.states),
+        gate=_BLOCK_MIN if loops and len(letters) <= 256 else sys.maxsize))
     return m._compiled
+
+
+def _block_tables(comp: _Compiled) -> tuple:
+    """(skip, blocks), kept on comp: skip is next_row with each self-loop
+    cell set to -2 - len(next_row) - row, below every accepting value;
+    blocks[row] holds the match of a run of letters row loops on, the
+    translate table of their outputs, and the bytes of those it erases."""
+    skip, blocks, output = list(comp.next_row), {}, comp.output
+    for row in range(0, len(skip), comp.stride):
+        cs = [c for c in range(comp.stride) if skip[row + c] == row]
+        for c in cs:
+            skip[row + c] = -2 - len(skip) - row
+        if cs:
+            kept = [c for c in cs if output[row + c] >= 0]
+            blocks[row] = (
+                re.compile(b"[%s]*" % re.escape(bytes(cs))).match,
+                bytes.maketrans(bytes(kept), bytes(output[row + c] for c in kept)),
+                bytes(c for c in cs if output[row + c] < 0))
+    object.__setattr__(comp, "blocks", (tuple(skip), blocks))
+    return comp.blocks
+
+
+def _tape_type(comp: _Compiled, max_len: int):
+    """What makes the coded tape _core takes from a sequence of at most
+    max_len codes: bytes from comp.gate letters on, else a tuple."""
+    if max_len < comp.gate:
+        return tuple
+    return lambda codes: (bytes if len(codes) >= comp.gate else tuple)(codes)
 
 
 def _budget(m: Machine, n: int) -> int:
     return sweep_bound(m, n) * max(n, 1) + n + 1
 
 
-def _core(comp: _Compiled, row: int, tape: tuple, sweep_index: int,
-          prev_tape: Optional[tuple], steps: int, budget: int,
+def _core(comp: _Compiled, row: int, tape, sweep_index: int,
+          prev_tape, steps: int, budget: int,
           budget_is_user: bool, records: Optional[list],
           memo: Optional[dict] = None, passed: Optional[list] = None):
-    """Run from a sweep boundary on a coded tape, one sweep per pass;
-    returns (verdict, row of the last state, steps, sweeps).
+    """Run from a sweep boundary on a coded tape (see _tape_type), one
+    sweep per pass; returns (verdict, row of the last state, steps, sweeps).
 
     With a memo, a sweep boundary (row, tape) found in it ends the run with
     its verdict and sweeps None; every other boundary met is appended to
     passed, for the caller to file under the final verdict."""
-    next_row, output = comp.next_row, comp.output
+    next_row, output, gate = comp.next_row, comp.output, comp.gate
     unchanged = 0
     while tape:
         if memo is not None:
@@ -198,9 +247,10 @@ def _core(comp: _Compiled, row: int, tape: tuple, sweep_index: int,
             if known is not None:
                 return known, row, steps, None
             passed.append(key)
+        n = len(tape)
         if sweep_index == 1:
             case = None
-        elif len(tape) < len(prev_tape):
+        elif n < len(prev_tape):
             case = SweepCase.SHRUNK
         elif tape == prev_tape:
             case = SweepCase.UNCHANGED
@@ -211,34 +261,68 @@ def _core(comp: _Compiled, row: int, tape: tuple, sweep_index: int,
             records.append(SweepRecord(
                 index=sweep_index, start_state=comp.states[row // comp.stride],
                 start_tape=tuple(comp.letters[c] for c in tape),
-                length=len(tape), case=case))
+                length=n, case=case))
         if unchanged > comp.state_count:
             # state must have repeated on identical sweep-start tapes
             return Verdict.REJECTED_LOOP, row, steps, sweep_index
         room = budget - steps
-        written: list = []
-        write = written.append
-        erased = 0  # with len(written), the steps taken in this sweep
-        for c in tape if len(tape) <= room else tape[:room]:
-            at = row + c
-            row = next_row[at]
-            if row < 0:
-                steps += len(written) + erased
-                if row == -1:
-                    return Verdict.REJECTED_STUCK, at - c, steps, sweep_index
-                return Verdict.ACCEPTED, -2 - row, steps + 1, sweep_index
-            out = output[at]
-            if out >= 0:
-                write(out)
-            else:
-                erased += 1
-        if len(tape) > room:
+        if n < gate:
+            written: list = []
+            write = written.append
+            erased = 0  # with len(written), the steps taken in this sweep
+            for c in tape if n <= room else tape[:room]:
+                at = row + c
+                row = next_row[at]
+                if row < 0:
+                    steps += len(written) + erased
+                    if row == -1:
+                        return Verdict.REJECTED_STUCK, at - c, steps, sweep_index
+                    return Verdict.ACCEPTED, -2 - row, steps + 1, sweep_index
+                out = output[at]
+                if out >= 0:
+                    write(out)
+                else:
+                    erased += 1
+            after = tuple(written)
+        else:
+            skip, blocks = comp.blocks or _block_tables(comp)
+            floor = -1 - len(skip)  # skip values below it mark self-loop cells
+            end, view, written = min(n, room), memoryview(tape), bytearray()
+            write = written.append
+            erased = i = 0
+            while True:
+                for c in view[i:end]:
+                    at = row + c
+                    row = skip[at]
+                    if row < 0:
+                        break
+                    out = output[at]
+                    if out >= 0:
+                        write(out)
+                    else:
+                        erased += 1
+                else:
+                    break
+                if row >= floor:
+                    steps += len(written) + erased
+                    if row == -1:
+                        return Verdict.REJECTED_STUCK, at - c, steps, sweep_index
+                    return Verdict.ACCEPTED, -2 - row, steps + 1, sweep_index
+                # copy the whole block this row loops on in one go
+                row = floor - 1 - row
+                match, table, erases = blocks[row]
+                i = len(written) + erased
+                j = match(tape, i, end).end()
+                written += tape[i:j].translate(table, erases)
+                erased, i = j - len(written), j
+            after = bytes(written) if len(written) >= gate else tuple(written)
+        if n > room:
             if budget_is_user:
                 raise LimitExceededError(f"step limit of {budget} exhausted")
             raise RuntimeError("internal step budget exhausted")
-        steps += len(tape)
+        steps += n
         # each sweep consumes its whole start tape, so what it wrote is the next
-        prev_tape, tape = tape, tuple(written)
+        prev_tape, tape = tape, after
         sweep_index += 1
     if comp.as_mode and not (steps == 0 and comp.accepts_empty):
         return Verdict.REJECTED_EMPTY_TAPE, row, steps, sweep_index - 1
@@ -254,8 +338,9 @@ def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> 
         budget, budget_is_user = limits.max_steps, True
     else:
         budget, budget_is_user = _budget(m, len(w)), False
+    tape = tuple(map(comp.code.__getitem__, w))
     verdict, row, steps, sweeps = _core(
-        comp, comp.start, tuple(map(comp.code.__getitem__, w)), 1, None, 0,
+        comp, comp.start, _tape_type(comp, len(tape))(tape), 1, None, 0,
         budget, budget_is_user, records)
     return RunResult(verdict=verdict, halting_state=comp.states[row // comp.stride],
                      sweeps=records, total_steps=steps, total_sweeps=sweeps)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import all_a, even_length, pure_loop, random_machine
-from fr1tass import oracle
+from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (PcpInstance, balance_ab_et, center_language,
                              encode_pcp_candidate, marked_copy, pcp_machine,
@@ -109,6 +109,44 @@ def test_enumerate_verdict_table_past_the_probe(monkeypatch, build, kept):
     assert enumerate_accepted(m, 10) == _enumerate_naive(m, 10)
     assert used[True] >= _MEMO_PROBE_RUNS
     assert (used[False] == 0) is kept
+
+
+def test_enumerate_verdict_table_stops_filing_at_the_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "_MEMO_MAX_KEYS", 64)
+    sizes = []
+    core = oracle._core
+
+    def measured(*args):
+        if args[9] is not None:
+            sizes.append(len(args[9]))
+        return core(*args)
+
+    monkeypatch.setattr(oracle, "_core", measured)
+    m = et_to_as(balance_ab_et())
+    assert enumerate_accepted(m, 10) == _enumerate_naive(m, 10)
+    # the table fills up to the cap and stays there, lookups going on
+    assert max(sizes) == 64 and sizes.count(64) > 100
+
+
+def mod_three():
+    """a^n for n divisible by 3; state c copies the tape in one block."""
+    return make_machine(
+        sigma=("a",), tape=("A", "a"), start="1", accepting=(), mode=Mode.ET,
+        transitions={("1", "a"): ("2", "A"), ("2", "a"): ("3", None),
+                     ("3", "a"): ("c", None), ("c", "a"): ("c", "a"),
+                     ("c", "A"): ("1", None)})
+
+
+def test_enumerate_past_the_block_gate(monkeypatch):
+    m = mod_three()
+    tables = []
+    build = simulate._block_tables
+    monkeypatch.setattr(simulate, "_block_tables",
+                        lambda comp: tables.append(comp) or build(comp))
+    got = enumerate_accepted(m, 2 * simulate._BLOCK_MIN)
+    assert got == _enumerate_naive(m, 2 * simulate._BLOCK_MIN)
+    assert got == {("a",) * n for n in range(0, 2 * simulate._BLOCK_MIN + 1, 3)}
+    assert tables  # some completion run started on a bytes tape
 
 
 def test_enumerate_verdict_table_on_random_general_machines(monkeypatch):

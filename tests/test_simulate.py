@@ -1,14 +1,18 @@
 """Run semantics: verdicts, sweeps, budgets, traces."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import (all_a, pure_loop, random_machine, reference_run,
                     run_language, words)
+from fr1tass import simulate
 from fr1tass.exceptions import LimitExceededError
-from fr1tass.gallery import (GALLERY, balance_ab_et, marked_copy,
-                             power_of_two, random_unary_noaux)
+from fr1tass.gallery import (GALLERY, balance_ab_et, center_language,
+                             marked_copy, power_of_two, random_unary_noaux)
 from fr1tass.model import Mode, make_machine, validate
 from fr1tass.simulate import (Configuration, Halted, HaltReason, RunLimits,
                               SweepCase, Verdict, accepts, flatten_trace,
@@ -258,3 +262,147 @@ def test_run_on_letters_off_the_tape():
     assert result.verdict is Verdict.REJECTED_STUCK
     assert (result.total_steps, result.total_sweeps) == (1, 1)
     assert_matches_reference(m, 4)
+
+
+# ------------------------------------------------- block path on long tapes
+
+@pytest.fixture
+def blocks_everywhere(monkeypatch):
+    """Machines compiled under it hold every nonempty tape as bytes when
+    they have a self-loop cell, so the block path runs on short words."""
+    monkeypatch.setattr(simulate, "_BLOCK_MIN", 1)
+
+
+@pytest.fixture
+def built_tables(monkeypatch) -> list:
+    """The compiled machines whose block tables a run builds, which it
+    does on its first sweep over a bytes tape."""
+    built = []
+    tables = simulate._block_tables
+    monkeypatch.setattr(simulate, "_block_tables",
+                        lambda comp: built.append(comp) or tables(comp))
+    return built
+
+
+def test_run_matches_step_reference_on_gallery_with_blocks_everywhere(
+        blocks_everywhere):
+    test_run_matches_step_reference_on_gallery()
+
+
+@pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
+def test_run_matches_step_reference_on_random_machines_with_blocks_everywhere(
+        blocks_everywhere, seeds):
+    test_run_matches_step_reference_on_random_machines(seeds)
+
+
+def long_words(m, seed: int, count: int):
+    """Seeded words of length 40 to 120 over m's input alphabet."""
+    rng = random.Random(seed)
+    sigma = sorted(m.input_alphabet)
+    return [tuple(rng.choice(sigma) for _ in range(rng.randint(40, 120)))
+            for _ in range(count)]
+
+
+def sweep_lengths(m, w) -> tuple:
+    """(verdict, sweep-start lengths) of the run of m on w, checked record
+    for record against the step reference."""
+    result = run(m, w, RunLimits(trace=True))
+    assert result == reference_run(m, w), w
+    return result.verdict, [r.length for r in result.sweeps]
+
+
+def test_long_words_match_step_reference_on_gallery():
+    for name, build in GALLERY.items():
+        m = build()
+        ws = long_words(m, 1, 6)
+        if name == "marked_copy":
+            ws += [("#",) + u + ("#",) + u for u in long_words(balance_ab_et(), 2, 4)]
+        if name == "balance_ab_et":
+            ws += [("a",) * 30 + ("b",) * 30, ("b",) * 25 + ("a",) * 26,
+                   ("a",) * 40 + ("b",) * 38]
+        for w in ws:
+            sweep_lengths(m, w)
+
+
+def test_long_words_match_step_reference_on_random_machines(monkeypatch):
+    # a gate inside the word lengths, so that runs cross it
+    monkeypatch.setattr(simulate, "_BLOCK_MIN", 32)
+    crossed = loops_after = loops_on_bytes = 0
+    for seed in range(100):
+        m = random_machine(seed)
+        if not m.input_alphabet:
+            continue
+        for w in long_words(m, seed, 3):
+            verdict, lengths = sweep_lengths(m, w)
+            if simulate._compile(m).gate > lengths[0]:
+                continue
+            looped = verdict is Verdict.REJECTED_LOOP
+            below = lengths[-1] < 32
+            crossed += below
+            loops_after += looped and below
+            loops_on_bytes += looped and not below
+    # runs that shrink below the gate, and loops cut on either side of it
+    assert crossed and loops_after and loops_on_bytes
+
+
+def block_edges(m, w) -> set:
+    """Step counts at which the run of m on w leaves a state."""
+    c, edges = initial_configuration(m, w), set()
+    while isinstance(c, Configuration):
+        nxt = step(m, c)
+        if isinstance(nxt, Configuration) and nxt.state != c.state:
+            edges.add(c.steps_taken)
+        c = nxt
+    return edges
+
+
+def limited(m, w, k):
+    try:
+        return run(m, w, RunLimits(max_steps=k, trace=True))
+    except LimitExceededError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("build, word", [
+    (balance_ab_et, ("a",) * 40 + ("b",) * 40),
+    (center_language, tuple("abbabaabbbabaabababbbbaabababbaaabbbabaaabbbababbaa")),
+], ids=["balance", "center"])
+def test_step_limits_around_block_edges(monkeypatch, build, word):
+    ks = {k for e in block_edges(build(), word) for k in range(e - 3, e + 4)}
+    got = {}
+    for gate in (1, sys.maxsize):
+        monkeypatch.setattr(simulate, "_BLOCK_MIN", gate)
+        m = build()
+        got[gate] = [limited(m, word, k) for k in sorted(ks) if k >= 0]
+    assert got[1] == got[sys.maxsize]
+    assert any(isinstance(x, str) for x in got[1])
+    assert any(not isinstance(x, str) for x in got[1])
+
+
+def halving(letters: int):
+    """State s rewrites each Li as L(i // 2) and erases L0 on its way to
+    t, which copies one letter and returns to s."""
+    tape = tuple(f"L{i}" for i in range(letters))
+    transitions = {("s", x): ("s", tape[i // 2]) for i, x in enumerate(tape)}
+    transitions[("s", "L0")] = ("t", None)
+    transitions.update({("t", x): ("s", x) for x in tape})
+    return make_machine(sigma=tape, tape=tape, start="s", accepting=(),
+                        transitions=transitions, mode=Mode.ET)
+
+
+@pytest.mark.parametrize("letters, blocks", [(256, True), (257, False)])
+def test_block_path_needs_byte_codes(built_tables, letters, blocks):
+    m = halving(letters)
+    assert validate(m) == []
+    # every letter code, among them those the regex must escape
+    w = tuple(random.Random(letters).sample(m.tape.letters, 256))
+    assert run(m, w, RunLimits(trace=True)) == reference_run(m, w)
+    assert bool(built_tables) is blocks
+
+
+def test_loop_free_machines_stay_on_tuples(built_tables):
+    m = power_of_two()
+    for n in (64, 96):
+        assert run(m, ("a",) * n, RunLimits(trace=True)) == \
+            reference_run(m, ("a",) * n)
+    assert not built_tables
