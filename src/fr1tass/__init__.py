@@ -1,5 +1,7 @@
 """Workbench for freezing one-tag systems with states."""
 
+from types import ModuleType as _ModuleType
+
 from .exceptions import (
     AlphabetMismatchError,
     CycleError,
@@ -76,68 +78,7 @@ from .transform import (
     union_sequential,
 )
 
-__all__ = [
-    "AlphabetMismatchError",
-    "Counterexample",
-    "CycleError",
-    "DfaSpec",
-    "ErasingInputError",
-    "Fr1tassError",
-    "GALLERY",
-    "IndexOutOfRangeError",
-    "LimitExceededError",
-    "Machine",
-    "Mode",
-    "ModeError",
-    "OrderedAlphabet",
-    "ParseError",
-    "PartialOrderSpec",
-    "PcpInstance",
-    "PcpInstanceError",
-    "PreconditionError",
-    "RunLimits",
-    "RunResult",
-    "SweepCase",
-    "SweepRecord",
-    "UnaryClass",
-    "UnaryKind",
-    "Verdict",
-    "Violation",
-    "ViolationCode",
-    "accepts",
-    "as_to_et",
-    "balance_ab_et",
-    "center_language",
-    "classify_unary_noaux",
-    "complement",
-    "dfa_accepts",
-    "encode_pcp_candidate",
-    "enumerate_accepted",
-    "equivalent_up_to",
-    "et_to_as",
-    "flatten_trace",
-    "from_dfa",
-    "has_strongly_equivalent_states",
-    "initial_configuration",
-    "intersect",
-    "intersect_sequential",
-    "linear_extension",
-    "make_machine",
-    "marked_copy",
-    "matches_predicate_up_to",
-    "parse_dfa",
-    "parse_machine",
-    "parse_pcp_instance",
-    "pcp_machine",
-    "power_of_two",
-    "random_unary_noaux",
-    "remove_erasing",
-    "run",
-    "serialize_machine",
-    "step",
-    "sweep_bound",
-    "to_dot",
-    "union",
-    "union_sequential",
-    "validate",
-]
+# every public name imported above, and no submodule
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

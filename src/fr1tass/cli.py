@@ -41,11 +41,6 @@ def _word_of(args) -> tuple:
     return ()
 
 
-def _ordered_words(m: Machine, words):
-    return sorted(words,
-                  key=lambda w: (len(w), tuple(m.tape.rank(x) for x in w)))
-
-
 def cmd_validate(args) -> int:
     report = validate(parse_machine(_read(args.machine), strict=False))
     if not report:
@@ -73,8 +68,9 @@ def cmd_run(args) -> int:
 
 def cmd_enumerate(args) -> int:
     m = _load(args.machine)
-    for w in _ordered_words(m, oracle.enumerate_accepted(m, args.max_len)):
-        print(" ".join(w))
+    words = sorted(oracle.enumerate_accepted(m, args.max_len),
+                   key=oracle._word_key(m))
+    sys.stdout.write("".join(" ".join(w) + "\n" for w in words))
     return 0
 
 

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 from .exceptions import AlphabetMismatchError, PreconditionError
 from .gallery import PcpInstance, encode_pcp_candidate
 from .model import Machine, Mode, Word
-from .simulate import (Verdict, _budget, _compile, _core, _tape_type,
-                       accepts)
+from .simulate import (_ACCEPTED, _LOOP, _budget, _compile, _core, _decide,
+                       _tape_type, accepts)
 
 
 # completion runs after which enumerate_accepted keeps its verdict table
@@ -45,6 +45,12 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     _MEMO_PROBE_RUNS completion runs the table is dropped unless more than
     _MEMO_HIT_SHARE of them ended on a known boundary.  A run's boundaries
     are filed only if the table then holds at most _MEMO_MAX_KEYS.
+
+    Once the table is dropped, only verdicts matter.  If no probe run
+    ended in a loop cut and tapes are tuples, completion runs are then
+    queue runs (_decide), which keep no sweep bookkeeping.  A queue run
+    that uses up its budget undecided goes to _core, whose loop cut
+    decides it, and _core makes the call's remaining runs.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
@@ -64,6 +70,8 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     memo: Optional[dict] = {}
     passed: Optional[list] = []
     runs = hits = 0
+    # whether a probe run ended in a loop cut; whether runs are queue runs
+    looped = queued = False
     while stack:
         row, i, mark = stack[-1]
         depth = len(stack) - 1
@@ -87,15 +95,27 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
         coded.append(codes[i])
         if comp.output[at] >= 0:
             appended.append(comp.output[at])
-        stack.append((target, 0, len(appended)))
+        end = len(appended)
+        stack.append((target, 0, end))
         if depth == len(budgets):
             budgets.append(_budget(m, depth + 1))
-        verdict, _, _, sweeps = _core(
-            comp, target, tape_of(appended), 2, tape_of(coded), depth + 1,
-            budgets[depth], False, None, memo, passed)
+        verdict = None
+        if queued:
+            # the run appends to appended, which the next pass trims to end
+            verdict = _decide(comp, target, appended,
+                              budgets[depth] - depth - 1)
+            if verdict is None:
+                del appended[end:]
+                queued = False
+        if verdict is None:
+            verdict, _, _, sweeps = _core(
+                comp, target, tape_of(appended), 2, tape_of(coded), depth + 1,
+                budgets[depth], False, None, memo, passed)
         if memo is not None:
             hits += sweeps is None
             if passed:
+                # a run that met no new boundary took a verdict filed here
+                looped = looped or verdict is _LOOP
                 if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
                     for key in passed:
                         memo[key] = verdict
@@ -103,7 +123,8 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
             runs += 1
             if runs == _MEMO_PROBE_RUNS and hits <= _MEMO_HIT_SHARE * runs:
                 memo = passed = None
-        if verdict is Verdict.ACCEPTED:
+                queued = not looped and tape_of is tuple
+        if verdict is _ACCEPTED:
             accepted.add(tuple(prefix))
     return accepted
 
@@ -128,8 +149,11 @@ class Counterexample:
     in_second: bool
 
 
-def _first_word(words, m: Machine) -> Word:
-    return min(words, key=lambda w: (len(w), tuple(m.tape.rank(x) for x in w)))
+def _word_key(m: Machine) -> Callable[[Word], tuple]:
+    """Sort key of m's words: by length, then letter by letter in tape
+    order (the order of the letter codes)."""
+    rank = _compile(m).code.__getitem__
+    return lambda w: (len(w), *map(rank, w))
 
 
 def equivalent_up_to(a: Machine, b: Machine,
@@ -143,7 +167,7 @@ def equivalent_up_to(a: Machine, b: Machine,
     diff = in_a ^ in_b
     if not diff:
         return None
-    w = _first_word(diff, a)
+    w = min(diff, key=_word_key(a))
     return Counterexample(word=w, in_first=w in in_a, in_second=w in in_b)
 
 

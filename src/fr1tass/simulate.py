@@ -20,6 +20,7 @@ import enum
 import re
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional
 
 from .exceptions import LimitExceededError
@@ -31,6 +32,13 @@ class Verdict(enum.Enum):
     REJECTED_STUCK = "RejectedStuck"
     REJECTED_LOOP = "RejectedLoop"
     REJECTED_EMPTY_TAPE = "RejectedEmptyTape"
+
+
+# Loading a member through its class costs about 140 ns on Python 3.11, a
+# module global about 10 ns, so the run loops return these.
+_ACCEPTED, _STUCK, _LOOP, _EMPTY = (
+    Verdict.ACCEPTED, Verdict.REJECTED_STUCK, Verdict.REJECTED_LOOP,
+    Verdict.REJECTED_EMPTY_TAPE)
 
 
 class SweepCase(enum.Enum):
@@ -239,6 +247,7 @@ def _core(comp: _Compiled, row: int, tape, sweep_index: int,
     its verdict and sweeps None; every other boundary met is appended to
     passed, for the caller to file under the final verdict."""
     next_row, output, gate = comp.next_row, comp.output, comp.gate
+    state_count = comp.state_count
     unchanged = 0
     while tape:
         if memo is not None:
@@ -248,23 +257,20 @@ def _core(comp: _Compiled, row: int, tape, sweep_index: int,
                 return known, row, steps, None
             passed.append(key)
         n = len(tape)
-        if sweep_index == 1:
-            case = None
-        elif n < len(prev_tape):
-            case = SweepCase.SHRUNK
-        elif tape == prev_tape:
-            case = SweepCase.UNCHANGED
-        else:
-            case = SweepCase.REWROTE
-        unchanged = unchanged + 1 if case is SweepCase.UNCHANGED else 0
+        # tapes of different lengths compare unequal without a letter read
+        unchanged = unchanged + 1 if tape == prev_tape else 0
         if records is not None:
+            case = (None if sweep_index == 1 else
+                    SweepCase.UNCHANGED if unchanged else
+                    SweepCase.SHRUNK if n < len(prev_tape) else
+                    SweepCase.REWROTE)
             records.append(SweepRecord(
                 index=sweep_index, start_state=comp.states[row // comp.stride],
                 start_tape=tuple(comp.letters[c] for c in tape),
                 length=n, case=case))
-        if unchanged > comp.state_count:
+        if unchanged > state_count:
             # state must have repeated on identical sweep-start tapes
-            return Verdict.REJECTED_LOOP, row, steps, sweep_index
+            return _LOOP, row, steps, sweep_index
         room = budget - steps
         if n < gate:
             written: list = []
@@ -276,8 +282,8 @@ def _core(comp: _Compiled, row: int, tape, sweep_index: int,
                 if row < 0:
                     steps += len(written) + erased
                     if row == -1:
-                        return Verdict.REJECTED_STUCK, at - c, steps, sweep_index
-                    return Verdict.ACCEPTED, -2 - row, steps + 1, sweep_index
+                        return _STUCK, at - c, steps, sweep_index
+                    return _ACCEPTED, -2 - row, steps + 1, sweep_index
                 out = output[at]
                 if out >= 0:
                     write(out)
@@ -306,8 +312,8 @@ def _core(comp: _Compiled, row: int, tape, sweep_index: int,
                 if row >= floor:
                     steps += len(written) + erased
                     if row == -1:
-                        return Verdict.REJECTED_STUCK, at - c, steps, sweep_index
-                    return Verdict.ACCEPTED, -2 - row, steps + 1, sweep_index
+                        return _STUCK, at - c, steps, sweep_index
+                    return _ACCEPTED, -2 - row, steps + 1, sweep_index
                 # copy the whole block this row loops on in one go
                 row = floor - 1 - row
                 match, table, erases = blocks[row]
@@ -325,8 +331,28 @@ def _core(comp: _Compiled, row: int, tape, sweep_index: int,
         prev_tape, tape = tape, after
         sweep_index += 1
     if comp.as_mode and not (steps == 0 and comp.accepts_empty):
-        return Verdict.REJECTED_EMPTY_TAPE, row, steps, sweep_index - 1
-    return Verdict.ACCEPTED, row, steps, sweep_index - 1
+        return _EMPTY, row, steps, sweep_index - 1
+    return _ACCEPTED, row, steps, sweep_index - 1
+
+
+def _decide(comp: _Compiled, row: int, queue: list, room: int):
+    """The verdict of a run that has taken a step and reached row with
+    the codes in queue, which it appends to: the run is one pass over
+    queue with no sweep bookkeeping.  None when room steps pass without a
+    halt, for _core to decide by its loop cut."""
+    next_row, output = comp.next_row, comp.output
+    write = queue.append
+    for c in islice(queue, room):
+        at = row + c
+        row = next_row[at]
+        if row < 0:
+            return _STUCK if row == -1 else _ACCEPTED
+        out = output[at]
+        if out >= 0:
+            write(out)
+    if len(queue) > room:
+        return None
+    return _EMPTY if comp.as_mode else _ACCEPTED
 
 
 def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> RunResult:

@@ -1,10 +1,12 @@
 """Enumeration, comparison, predicates, and the unary classifier."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import all_a, even_length, pure_loop, random_machine
+from common import all_a, even_length, pure_loop, random_machine, words
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (PcpInstance, balance_ab_et, center_language,
@@ -84,31 +86,112 @@ def test_enumerate_matches_naive_scan_on_random_machines(seed, n_states):
     assert enumerate_accepted(m, 9) == _enumerate_naive(m, 9)
 
 
+# binds _core's arguments by name, so tests read no positions
+_CORE = inspect.signature(simulate._core)
+
+
 def _table_use(monkeypatch) -> dict:
     """Counts enumerate_accepted's completion runs made with (True) and
-    without (False) the verdict table."""
-    used = {True: 0, False: 0}
-    core = oracle._core
+    without (False) the verdict table; queue runs count as False, and
+    also under "queue", and under "undecided" when they return None.
+    "trail" lists every run in order as "table", "bare", "queue" or
+    "undecided", and "rooms" the steps each run had left in its budget.
+    A queue run's verdict must be the one _core gives from its tape."""
+    used = {True: 0, False: 0, "queue": 0, "undecided": 0, "trail": [],
+            "rooms": []}
+    core, decide = oracle._core, oracle._decide
 
-    def counted(*args):
-        used[args[9] is not None] += 1
-        return core(*args)
+    def counted_core(*args, **kwargs):
+        bound = _CORE.bind(*args, **kwargs).arguments
+        table = bound.get("memo") is not None
+        used[table] += 1
+        used["rooms"].append(bound["budget"] - bound["steps"])
+        used["trail"].append("table" if table else "bare")
+        return core(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_core", counted)
+    def counted_decide(comp, row, queue, room):
+        tape = tuple(queue)
+        verdict = decide(comp, row, queue, room)
+        if verdict is not None:
+            # after a step, as in enumerate_accepted
+            assert verdict is core(comp, row, tape, 2, None, 1, room + 1,
+                                   False, None)[0]
+        used["rooms"].append(room)
+        used[False] += 1
+        used["queue"] += 1
+        used["undecided"] += verdict is None
+        used["trail"].append("queue" if verdict is not None else "undecided")
+        return verdict
+
+    monkeypatch.setattr(oracle, "_core", counted_core)
+    monkeypatch.setattr(oracle, "_decide", counted_decide)
     return used
 
 
-@pytest.mark.parametrize("build, kept", [
-    (balance_ab_et, True),
-    (lambda: et_to_as(balance_ab_et()), True),
-    (center_language, False),
-], ids=["balance_ab_et", "et_to_as_balance", "center_language"])
-def test_enumerate_verdict_table_past_the_probe(monkeypatch, build, kept):
+@pytest.mark.parametrize("build, n, kept, queued", [
+    (balance_ab_et, 10, True, False),
+    (lambda: et_to_as(balance_ab_et()), 10, True, False),
+    (center_language, 10, False, True),
+    (marked_copy, 9, False, True),
+    (power_of_two, _MEMO_PROBE_RUNS + 8, False, True),
+], ids=["balance_ab_et", "et_to_as_balance", "center_language",
+        "marked_copy", "power_of_two"])
+def test_enumerate_verdict_table_past_the_probe(monkeypatch, build, n, kept,
+                                                queued):
     m = build()
     used = _table_use(monkeypatch)
-    assert enumerate_accepted(m, 10) == _enumerate_naive(m, 10)
+    assert enumerate_accepted(m, n) == _enumerate_naive(m, n)
     assert used[True] >= _MEMO_PROBE_RUNS
     assert (used[False] == 0) is kept
+    assert (used["queue"] > 0) is queued
+    assert used["undecided"] == 0
+
+
+def loop_after_probe():
+    """Accepts the empty word and every word that starts with a.  After
+    its first letter a run on a·w erases, writes w in working letters and
+    erases them, so no two runs share a boundary; one on b·w copies its
+    tape forever.  Words starting with a come first in enumeration, so
+    the first loop comes after the probe once there are enough of them."""
+    return make_machine(
+        sigma=("a", "b"), tape=("X", "Y", "a", "b"), start="s", accepting=(),
+        mode=Mode.ET,
+        transitions={("s", "a"): ("e", None), ("e", "a"): ("e", "X"),
+                     ("e", "b"): ("e", "Y"), ("e", "X"): ("e", None),
+                     ("e", "Y"): ("e", None), ("s", "b"): ("c", "b"),
+                     ("c", "a"): ("c", "a"), ("c", "b"): ("c", "b")})
+
+
+def test_enumerate_falls_back_to_core_after_an_undecided_queue_run(
+        monkeypatch):
+    m = loop_after_probe()
+    used = _table_use(monkeypatch)
+    got = enumerate_accepted(m, 10)
+    assert got == _enumerate_naive(m, 10)
+    assert got == {()} | {w for w in words(("a", "b"), 10) if w[:1] == ("a",)}
+    trail = used["trail"]
+    assert trail[:_MEMO_PROBE_RUNS] == ["table"] * _MEMO_PROBE_RUNS
+    assert used["undecided"] == 1
+    # queue runs until the first loop; _core decides that run and the rest
+    first = trail.index("undecided")
+    assert set(trail[_MEMO_PROBE_RUNS:first]) == {"queue"}
+    assert set(trail[first + 1:]) == {"bare"} and first + 1 < len(trail)
+    assert used["rooms"][first] == used["rooms"][first + 1]  # same budget
+
+
+@pytest.mark.parametrize("probe", [_MEMO_PROBE_RUNS, 8])
+def test_enumerate_queue_runs_on_random_general_machines(monkeypatch, probe):
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", probe)
+    used = _table_use(monkeypatch)
+    # lengths at which each alphabet size makes more runs than the probe
+    lengths = {1: probe + 8, 2: 9, 3: 6} if probe > 8 else {1: 40, 2: 6, 3: 4}
+    for seed in range(200):
+        m = random_machine(seed)
+        n = lengths[len(m.input_alphabet)]
+        assert enumerate_accepted(m, n) == _enumerate_naive(m, n), seed
+    if probe == 8:
+        # short probes miss loops, so queue runs and fallbacks both occur
+        assert used["queue"] > used["undecided"] > 0
 
 
 def test_enumerate_verdict_table_stops_filing_at_the_cap(monkeypatch):
@@ -116,10 +199,11 @@ def test_enumerate_verdict_table_stops_filing_at_the_cap(monkeypatch):
     sizes = []
     core = oracle._core
 
-    def measured(*args):
-        if args[9] is not None:
-            sizes.append(len(args[9]))
-        return core(*args)
+    def measured(*args, **kwargs):
+        memo = _CORE.bind(*args, **kwargs).arguments.get("memo")
+        if memo is not None:
+            sizes.append(len(memo))
+        return core(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "_core", measured)
     m = et_to_as(balance_ab_et())

@@ -91,6 +91,32 @@ def test_rewriting_forever_is_also_cut_off():
     assert result.verdict is Verdict.REJECTED_LOOP
 
 
+def shrink_rewrite_circle():
+    """On aaa: the first sweep erases a letter (Shrunk), the second rewrites
+    Y to X (Rewrote), then state t copies XX until the loop cut."""
+    return make_machine(
+        sigma=("a",), tape=("X", "Y", "a"), start="s", accepting=(),
+        mode=Mode.AS,
+        transitions={("s", "a"): ("t", None), ("t", "a"): ("t", "Y"),
+                     ("t", "Y"): ("t", "X"), ("t", "X"): ("t", "X")})
+
+
+@pytest.mark.parametrize("gate", ["tuples", "bytes"])
+def test_sweep_cases_and_loop_cut_in_order(monkeypatch, gate):
+    if gate == "bytes":
+        monkeypatch.setattr(simulate, "_BLOCK_MIN", 1)
+    m = shrink_rewrite_circle()
+    result = run(m, "aaa", RunLimits(trace=True))
+    unchanged = [SweepCase.UNCHANGED] * (len(m.states) + 1)
+    assert [r.case for r in result.sweeps] == [
+        None, SweepCase.SHRUNK, SweepCase.REWROTE, *unchanged]
+    assert [r.start_tape for r in result.sweeps] == [
+        ("a", "a", "a"), ("Y", "Y"), *[("X", "X")] * (len(unchanged) + 1)]
+    assert result.verdict is Verdict.REJECTED_LOOP
+    assert (result.total_sweeps, result.total_steps) == (6, 11)
+    assert result == reference_run(m, "aaa")
+
+
 def test_balance_rejects_lone_b_as_loop():
     assert run(balance_ab_et(), "b").verdict is Verdict.REJECTED_LOOP
 
@@ -262,6 +288,41 @@ def test_run_on_letters_off_the_tape():
     assert result.verdict is Verdict.REJECTED_STUCK
     assert (result.total_steps, result.total_sweeps) == (1, 1)
     assert_matches_reference(m, 4)
+
+
+# ------------------------------------------------ queue runs against _core
+
+def core_or_none(m, w, budget):
+    """_core's verdict on w within budget steps; None for a loop cut or
+    an exhausted budget, the cases in which a queue run returns None."""
+    comp = simulate._compile(m)
+    codes = [comp.code[x] for x in w]
+    try:
+        verdict = simulate._core(
+            comp, comp.start, simulate._tape_type(comp, len(w))(codes), 1,
+            None, 0, budget, True, None)[0]
+    except LimitExceededError:
+        return None
+    return None if verdict is Verdict.REJECTED_LOOP else verdict
+
+
+def assert_decide_matches_core(m, max_len):
+    comp = simulate._compile(m)
+    for w in words(sorted(m.input_alphabet), max_len):
+        if not w:
+            continue  # a queue run has taken a step; the empty word takes none
+        steps = run(m, w).total_steps
+        for room in (max(steps - 1, 0), steps, steps + 1, 2 * steps + 50):
+            got = simulate._decide(comp, comp.start,
+                                   [comp.code[x] for x in w], room)
+            assert got is core_or_none(m, w, room), (w, room)
+
+
+def test_queue_runs_match_core_at_budget_edges():
+    for build in GALLERY.values():
+        assert_decide_matches_core(build(), 6)
+    for seed in range(200):
+        assert_decide_matches_core(random_machine(seed), 4)
 
 
 # ------------------------------------------------- block path on long tapes
