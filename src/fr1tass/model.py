@@ -190,9 +190,6 @@ def validate(m: Machine) -> list:
 
 # --- file format -----------------------------------------------------------
 
-_DIRECTIVES = ("input", "tape", "start", "accept", "mode", "empty", "trans")
-
-
 def _tokenize(text: str):
     """Yield (line number, [interned tokens]) for non-blank lines."""
     for number, raw in enumerate(text.splitlines(), start=1):

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from .exceptions import AlphabetMismatchError, PreconditionError
 from .gallery import PcpInstance, encode_pcp_candidate
 from .model import Machine, Mode, Word
-from .simulate import (_ACCEPTED, _LOOP, _budget, _compile, _core, _decide,
+from .simulate import (_ACCEPTED, _budget, _compile, _core, _decide,
                        _tape_type, accepts)
 
 
@@ -46,11 +46,12 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     _MEMO_HIT_SHARE of them ended on a known boundary.  A run's boundaries
     are filed only if the table then holds at most _MEMO_MAX_KEYS.
 
-    Once the table is dropped, only verdicts matter.  If no probe run
-    ended in a loop cut and tapes are tuples, completion runs are then
-    queue runs (_decide), which keep no sweep bookkeeping.  A queue run
-    that uses up its budget undecided goes to _core, whose loop cut
-    decides it, and _core makes the call's remaining runs.
+    Once the table is dropped, only verdicts matter, and completion runs
+    are queue runs (_decide), which keep no sweep bookkeeping.  A queue
+    run of a word of n letters has room for n steps times state_count + 2
+    times the most sweeps a probe run took.  One that uses it up undecided
+    goes to _core, whose loop cut decides it with the full budget, and
+    _core makes the call's remaining runs.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
@@ -69,9 +70,8 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     tape_of = _tape_type(comp, max_len)
     memo: Optional[dict] = {}
     passed: Optional[list] = []
-    runs = hits = 0
-    # whether a probe run ended in a loop cut; whether runs are queue runs
-    looped = queued = False
+    runs = hits = most = 0  # most: the most sweeps of a probe run
+    pace = 0  # steps a queue run has per letter; 0 while _core makes runs
     while stack:
         row, i, mark = stack[-1]
         depth = len(stack) - 1
@@ -100,22 +100,20 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
         if depth == len(budgets):
             budgets.append(_budget(m, depth + 1))
         verdict = None
-        if queued:
+        if pace:
             # the run appends to appended, which the next pass trims to end
-            verdict = _decide(comp, target, appended,
-                              budgets[depth] - depth - 1)
+            verdict = _decide(comp, target, appended, pace * (depth + 1))
             if verdict is None:
                 del appended[end:]
-                queued = False
+                pace = 0
         if verdict is None:
             verdict, _, _, sweeps = _core(
                 comp, target, tape_of(appended), 2, tape_of(coded), depth + 1,
                 budgets[depth], False, None, memo, passed)
         if memo is not None:
             hits += sweeps is None
+            most = max(most, sweeps or 0)
             if passed:
-                # a run that met no new boundary took a verdict filed here
-                looped = looped or verdict is _LOOP
                 if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
                     for key in passed:
                         memo[key] = verdict
@@ -123,7 +121,8 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
             runs += 1
             if runs == _MEMO_PROBE_RUNS and hits <= _MEMO_HIT_SHARE * runs:
                 memo = passed = None
-                queued = not looped and tape_of is tuple
+                # a sweep of a run of n letters takes at most n steps
+                pace = (comp.state_count + 2) * most
         if verdict is _ACCEPTED:
             accepted.add(tuple(prefix))
     return accepted

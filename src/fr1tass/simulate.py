@@ -339,7 +339,8 @@ def _decide(comp: _Compiled, row: int, queue: list, room: int):
     """The verdict of a run that has taken a step and reached row with
     the codes in queue, which it appends to: the run is one pass over
     queue with no sweep bookkeeping.  None when room steps pass without a
-    halt, for _core to decide by its loop cut."""
+    halt, for _core to decide by its loop cut; such a run has cost room
+    steps and grown queue by up to room codes."""
     next_row, output = comp.next_row, comp.output
     write = queue.append
     for c in islice(queue, room):

@@ -96,9 +96,12 @@ def _table_use(monkeypatch) -> dict:
     also under "queue", and under "undecided" when they return None.
     "trail" lists every run in order as "table", "bare", "queue" or
     "undecided", and "rooms" the steps each run had left in its budget.
-    A queue run's verdict must be the one _core gives from its tape."""
+    "steps" and "sweeps" give, for each _core run, the steps taken before
+    it (its word's length) and the sweeps it returned, and None for a
+    queue run.  A queue run's verdict must be the one _core gives from
+    its tape, and it grows its queue by at most its room."""
     used = {True: 0, False: 0, "queue": 0, "undecided": 0, "trail": [],
-            "rooms": []}
+            "rooms": [], "steps": [], "sweeps": []}
     core, decide = oracle._core, oracle._decide
 
     def counted_core(*args, **kwargs):
@@ -106,17 +109,24 @@ def _table_use(monkeypatch) -> dict:
         table = bound.get("memo") is not None
         used[table] += 1
         used["rooms"].append(bound["budget"] - bound["steps"])
+        used["steps"].append(bound["steps"])
         used["trail"].append("table" if table else "bare")
-        return core(*args, **kwargs)
+        result = core(*args, **kwargs)
+        used["sweeps"].append(result[3])
+        return result
 
     def counted_decide(comp, row, queue, room):
         tape = tuple(queue)
         verdict = decide(comp, row, queue, room)
         if verdict is not None:
             # after a step, as in enumerate_accepted
-            assert verdict is core(comp, row, tape, 2, None, 1, room + 1,
+            coded = simulate._tape_type(comp, len(tape))(tape)
+            assert verdict is core(comp, row, coded, 2, None, 1, room + 1,
                                    False, None)[0]
+        assert len(queue) - len(tape) <= room
         used["rooms"].append(room)
+        used["steps"].append(None)
+        used["sweeps"].append(None)
         used[False] += 1
         used["queue"] += 1
         used["undecided"] += verdict is None
@@ -176,7 +186,32 @@ def test_enumerate_falls_back_to_core_after_an_undecided_queue_run(
     first = trail.index("undecided")
     assert set(trail[_MEMO_PROBE_RUNS:first]) == {"queue"}
     assert set(trail[first + 1:]) == {"bare"} and first + 1 < len(trail)
-    assert used["rooms"][first] == used["rooms"][first + 1]  # same budget
+    _assert_queue_room(m, used, first)
+
+
+def _assert_queue_room(m, used, first):
+    """The undecided queue run at trail index first had room for n steps
+    times len(m.states) + 2 times the most sweeps of a probe run, for its
+    word of n letters; _core then made the same run with the full budget."""
+    n = used["steps"][first + 1]
+    most = max(s for s in used["sweeps"][:_MEMO_PROBE_RUNS] if s)
+    assert used["rooms"][first] == (len(m.states) + 2) * most * n
+    assert used["rooms"][first + 1] == simulate._budget(m, n) - n
+
+
+def test_enumerate_bounds_an_undecided_queue_run_on_a_long_word(monkeypatch):
+    m = random_machine(107)  # one input letter, three tape letters, 4 states
+    assert (len(m.input_alphabet), len(m.tape), len(m.states)) == (1, 3, 4)
+    used = _table_use(monkeypatch)
+    n = _MEMO_PROBE_RUNS + 8
+    assert enumerate_accepted(m, n) == _enumerate_naive(m, n)
+    # the first run past the probe loops and is the one queue run
+    first = used["trail"].index("undecided")
+    assert first == _MEMO_PROBE_RUNS and used["queue"] == 1
+    assert used["steps"][first + 1] == _MEMO_PROBE_RUNS + 1
+    _assert_queue_room(m, used, first)
+    # so it gave up long before the budget, and its queue stayed as short
+    assert 100 * used["rooms"][first] < used["rooms"][first + 1]
 
 
 @pytest.mark.parametrize("probe", [_MEMO_PROBE_RUNS, 8])
@@ -189,9 +224,8 @@ def test_enumerate_queue_runs_on_random_general_machines(monkeypatch, probe):
         m = random_machine(seed)
         n = lengths[len(m.input_alphabet)]
         assert enumerate_accepted(m, n) == _enumerate_naive(m, n), seed
-    if probe == 8:
-        # short probes miss loops, so queue runs and fallbacks both occur
-        assert used["queue"] > used["undecided"] > 0
+    # queue runs and fallbacks both occur
+    assert used["queue"] > used["undecided"] > 0
 
 
 def test_enumerate_verdict_table_stops_filing_at_the_cap(monkeypatch):

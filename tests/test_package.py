@@ -4,25 +4,10 @@ import types
 
 import fr1tass
 
-EXPORTED = """
-    AlphabetMismatchError Counterexample CycleError DfaSpec
-    ErasingInputError Fr1tassError GALLERY IndexOutOfRangeError
-    LimitExceededError Machine Mode ModeError OrderedAlphabet ParseError
-    PartialOrderSpec PcpInstance PcpInstanceError PreconditionError
-    RunLimits RunResult SweepCase SweepRecord UnaryClass UnaryKind Verdict
-    Violation ViolationCode accepts as_to_et balance_ab_et center_language
-    classify_unary_noaux complement dfa_accepts encode_pcp_candidate
-    enumerate_accepted equivalent_up_to et_to_as flatten_trace from_dfa
-    has_strongly_equivalent_states initial_configuration intersect
-    intersect_sequential linear_extension make_machine marked_copy
-    matches_predicate_up_to parse_dfa parse_machine parse_pcp_instance
-    pcp_machine power_of_two random_unary_noaux remove_erasing run
-    serialize_machine step sweep_bound to_dot union union_sequential
-    validate
-""".split()
 
-
-def test_exported_names_are_pinned():
-    assert fr1tass.__all__ == sorted(EXPORTED)
-    assert not any(isinstance(getattr(fr1tass, name), types.ModuleType)
-                   for name in EXPORTED)
+def test_all_names_every_public_import_once():
+    public = {name for name, value in vars(fr1tass).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert sorted(fr1tass.__all__) == sorted(public)
+    assert len(fr1tass.__all__) == len(set(fr1tass.__all__)) == 63
