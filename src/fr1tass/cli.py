@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import gallery, oracle, transform
+from . import gallery, oracle, pcp, transform
 from .exceptions import Fr1tassError
 from .model import Machine, parse_machine, serialize_machine, to_dot, validate
 from .simulate import RunLimits, run
@@ -142,16 +142,16 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_pcp(args) -> int:
-    instance = gallery.parse_pcp_instance(_read(args.instance))
+    instance = pcp.parse_pcp_instance(_read(args.instance))
     if args.action == "build":
-        _emit(serialize_machine(gallery.pcp_machine(instance)), args.output)
+        _emit(serialize_machine(pcp.pcp_machine(instance)), args.output)
         return 0
     try:
         indices = [int(tok) for tok in args.indices.replace(",", " ").split()]
     except ValueError:
         print("error: --indices needs comma-separated numbers", file=sys.stderr)
         return 2
-    print(" ".join(gallery.encode_pcp_candidate(instance, indices)))
+    print(" ".join(pcp.encode_pcp_candidate(instance, indices)))
     return 0
 
 

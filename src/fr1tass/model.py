@@ -199,6 +199,53 @@ def _tokenize(text: str):
             yield number, tokens
 
 
+def _read_directives(text: str):
+    """Reader for the directive-style file formats.
+
+    Returns (expect, body).  expect(directive, optional) consumes the next
+    non-blank line if it starts with 'directive:' and returns (line
+    number, the tokens after it); otherwise it returns None if optional
+    and raises ParseError if not.  body() yields (line number, tokens) for
+    every line left, front to back, so the first faulty line raises first.
+    """
+    lines = _tokenize(text)
+    ahead = next(lines, None)  # the next line, not yet consumed
+    last_line = 1  # the last line consumed
+
+    def expect(directive: str, optional: bool = False):
+        nonlocal ahead, last_line
+        if ahead is None:
+            if optional:
+                return None
+            raise ParseError(last_line, f"missing '{directive}:' directive")
+        number, tokens = ahead
+        if tokens[0] != directive + ":":
+            if optional:
+                return None
+            raise ParseError(number, f"expected '{directive}:', got {tokens[0]!r}")
+        last_line, ahead = number, next(lines, None)
+        return number, tokens[1:]
+
+    def body():
+        if ahead is not None:
+            yield ahead
+            yield from lines
+
+    return expect, body
+
+
+def _letters_of(tokens, number: int, what: str) -> list:
+    """The tokens of one line, which must be distinct and not reserved."""
+    seen = []
+    for token in tokens:
+        if token in RESERVED_TOKENS:
+            raise ParseError(number, f"reserved token {token!r} used as {what}")
+        if token in seen:
+            raise ParseError(number, f"duplicate {what} {token!r}")
+        seen.append(token)
+    return seen
+
+
 def parse_machine(text: str, strict: bool = True) -> Machine:
     """Parse the line-based machine format.
 
@@ -212,42 +259,11 @@ def parse_machine(text: str, strict: bool = True) -> Machine:
     (input letters missing from the tape, unknown letters, rank-raising
     outputs) are let through so validate can report them all at once.
     """
-    lines = _tokenize(text)
-    ahead = next(lines, None)  # the next line, not yet consumed
-    last_line = 1  # the last line consumed
-
-    def take():
-        nonlocal ahead, last_line
-        (last_line, tokens), ahead = ahead, next(lines, None)
-        return last_line, tokens
-
-    def expect(directive: str, optional: bool = False):
-        if ahead is None:
-            if optional:
-                return None
-            raise ParseError(last_line, f"missing '{directive}:' directive")
-        number, tokens = ahead
-        if tokens[0] != directive + ":":
-            if optional:
-                return None
-            raise ParseError(number, f"expected '{directive}:', got {tokens[0]!r}")
-        take()
-        return number, tokens[1:]
-
-    def letters_of(tokens, number, what):
-        seen = []
-        for token in tokens:
-            if token in RESERVED_TOKENS:
-                raise ParseError(number, f"reserved token {token!r} used as {what}")
-            if token in seen:
-                raise ParseError(number, f"duplicate {what} {token!r}")
-            seen.append(token)
-        return seen
-
+    expect, rest = _read_directives(text)
     in_line, in_tokens = expect("input")
-    sigma = letters_of(in_tokens, in_line, "input letter")
+    sigma = _letters_of(in_tokens, in_line, "input letter")
     tape_line, tape_tokens = expect("tape")
-    gamma = letters_of(tape_tokens, tape_line, "tape letter")
+    gamma = _letters_of(tape_tokens, tape_line, "tape letter")
     rank = {letter: i for i, letter in enumerate(gamma)}
     if strict:
         for letter in sigma:
@@ -258,12 +274,10 @@ def parse_machine(text: str, strict: bool = True) -> Machine:
     start_line, start_tokens = expect("start")
     if len(start_tokens) != 1:
         raise ParseError(start_line, "start takes exactly one state")
-    start = start_tokens[0]
-    if start in RESERVED_TOKENS:
-        raise ParseError(start_line, f"reserved token {start!r} used as state")
+    start = _letters_of(start_tokens, start_line, "state")[0]
 
     acc_line, acc_tokens = expect("accept")
-    accepting = letters_of(acc_tokens, acc_line, "accepting state")
+    accepting = _letters_of(acc_tokens, acc_line, "accepting state")
 
     mode_line, mode_tokens = expect("mode")
     if len(mode_tokens) != 1 or mode_tokens[0] not in ("AS", "ET"):
@@ -281,8 +295,7 @@ def parse_machine(text: str, strict: bool = True) -> Machine:
         accepts_empty = empty_tokens[0] == "true"
 
     transitions: dict = {}
-    while ahead is not None:
-        number, tokens = take()
+    for number, tokens in rest():
         if tokens[0] != "trans:":
             raise ParseError(number, f"expected 'trans:', got {tokens[0]!r}")
         body = tokens[1:]

@@ -14,7 +14,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
-from .gallery import PcpInstance, encode_pcp_candidate
 from .model import Machine, Mode, Word
 from .simulate import (_ACCEPTED, _budget, _compile, _core, _decide,
                        _tape_type, accepts)
@@ -236,37 +235,6 @@ def regular(pattern: str) -> Callable[[Word], bool]:
             if len(x) != 1:
                 raise ValueError("regular predicates need one-character letters")
         return rx.fullmatch("".join(word)) is not None
-
-    return predicate
-
-
-def pcp_solution_encoding(p: PcpInstance) -> Callable[[Word], bool]:
-    """Predicate for well-formed candidate encodings of actual solutions."""
-
-    def predicate(word: Word) -> bool:
-        word = tuple(word)
-        if not word or word[0] != "#":
-            return False
-        parts: list = [[]]
-        for x in word[1:]:
-            if x == "#":
-                parts.append([])
-            else:
-                parts[-1].append(x)
-        if len(parts) != 3:
-            return False
-        indices = []
-        for x in parts[0]:
-            if not (x.endswith("~") and x[:-1].isdigit()):
-                return False
-            indices.append(int(x[:-1]))
-        if not indices or not all(1 <= i <= p.size for i in indices):
-            return False
-        if word != encode_pcp_candidate(p, indices):
-            return False
-        top = tuple(x for i in indices for x in p.u_words[i - 1])
-        bottom = tuple(x for i in indices for x in p.v_words[i - 1])
-        return top == bottom
 
     return predicate
 

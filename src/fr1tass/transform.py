@@ -4,22 +4,21 @@ All constructions return fresh valid machines and leave their inputs
 untouched.  Binary constructions require both operands to read the same
 input alphabet and, where the underlying simulation needs it, normalize
 erasing machines via remove_erasing first (recorded in the result's
-metadata).  Unreachable states are pruned from every result.
+metadata).  et_to_as, complement and the four products keep only the
+states reachable from the start; remove_erasing, as_to_et and from_dfa
+keep every state.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .exceptions import (AlphabetMismatchError, CycleError, ErasingInputError,
                          ModeError)
-from .model import (Machine, Mode, OrderedAlphabet, ParseError, _tokenize,
-                    fresh_name, make_machine)
-
-
-def _ordered(letters) -> OrderedAlphabet:
-    return OrderedAlphabet(tuple(letters))
+from .model import (RESERVED_TOKENS, Machine, Mode, OrderedAlphabet,
+                    ParseError, _letters_of, _read_directives, fresh_name,
+                    make_machine)
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,12 @@ def linear_extension(spec: PartialOrderSpec) -> tuple:
     return tuple(out)
 
 
-def _reachable_part(start: str, transitions: dict):
+def _reachable_as(sigma, tape, start: str, accepting, transitions: dict,
+                  accepts_empty: bool, metadata=None) -> Machine:
+    """AS machine of the states and transitions reachable from start.
+
+    Transitions keep their order, and only reachable states stay accepting.
+    """
     by_source: dict = {}
     for (q, _), (q2, _) in transitions.items():
         by_source.setdefault(q, []).append(q2)
@@ -81,8 +85,17 @@ def _reachable_part(start: str, transitions: dict):
             if q2 not in seen:
                 seen.add(q2)
                 todo.append(q2)
-    kept = {k: v for k, v in transitions.items() if k[0] in seen}
-    return seen, kept
+    return Machine(
+        input_alphabet=sigma,
+        tape=OrderedAlphabet(tuple(tape)),
+        states=frozenset(seen),
+        start=start,
+        accepting=frozenset(seen.intersection(accepting)),
+        transitions={k: v for k, v in transitions.items() if k[0] in seen},
+        mode=Mode.AS,
+        accepts_empty=accepts_empty,
+        metadata=metadata or {},
+    )
 
 
 def _marked_names(letters) -> dict:
@@ -139,16 +152,8 @@ def _split_accepting_start(m: Machine) -> Machine:
     for (q, x), target in m.transitions.items():
         if q == m.start:
             transitions[(fresh, x)] = target
-    return make_machine(
-        sigma=m.input_alphabet,
-        tape=m.tape.letters,
-        start=fresh,
-        accepting=m.accepting,
-        transitions=transitions,
-        mode=m.mode,
-        accepts_empty=m.accepts_empty,
-        extra_states=m.states,
-    )
+    return replace(m, states=m.states | {fresh}, start=fresh,
+                   transitions=transitions)
 
 
 def as_to_et(a: Machine) -> Machine:
@@ -165,15 +170,9 @@ def as_to_et(a: Machine) -> Machine:
     for f in sorted(b.accepting):
         for x in b.tape.letters:
             transitions[(f, x)] = (f, None)
-    return make_machine(
-        sigma=b.input_alphabet,
-        tape=b.tape.letters,
-        start=b.start,
-        accepting=b.accepting,  # inert in ET mode, kept for reference
-        transitions=transitions,
-        mode=Mode.ET,
-        extra_states=b.states,
-    )
+    # the accepting set is inert in ET mode, kept for reference
+    return replace(b, transitions=transitions, mode=Mode.ET,
+                   accepts_empty=False)
 
 
 def et_to_as(a: Machine) -> Machine:
@@ -225,17 +224,8 @@ def et_to_as(a: Machine) -> Machine:
             t[(clean(q), mark[y])] = (clean(q2), mark[out])
             t[(seen(q), mark[y])] = (clean(q2), mark[out])
 
-    states, t = _reachable_part(init, t)
-    return Machine(
-        input_alphabet=a.input_alphabet,
-        tape=_ordered(tape),
-        states=frozenset(states),
-        start=init,
-        accepting=frozenset({acc} if acc in states else ()),
-        transitions=t,
-        mode=Mode.AS,
-        accepts_empty=True,
-    )
+    return _reachable_as(a.input_alphabet, tape, init, (acc,), t,
+                         accepts_empty=True)
 
 
 def _sticky(m: Machine) -> Machine:
@@ -252,16 +242,7 @@ def _sticky(m: Machine) -> Machine:
     for f in sorted(m.accepting):
         for x in m.tape.letters:
             transitions[(f, x)] = (f, x)
-    return make_machine(
-        sigma=m.input_alphabet,
-        tape=m.tape.letters,
-        start=m.start,
-        accepting=m.accepting,
-        transitions=transitions,
-        mode=Mode.AS,
-        accepts_empty=m.accepts_empty,
-        extra_states=m.states,
-    )
+    return replace(m, transitions=transitions)
 
 
 def _joint_names(parts, taken) -> dict:
@@ -275,13 +256,21 @@ def _joint_names(parts, taken) -> dict:
         suffix += "'"
 
 
-def _product(a: Machine, b: Machine, keep_one: bool) -> Machine:
+def _operands(a: Machine, b: Machine, keep_one: bool, what: str):
+    """Erasure-free copies of two AS operands that read one input alphabet,
+    and the empty-word flag of their union (keep_one) or intersection."""
     if a.input_alphabet != b.input_alphabet:
         raise AlphabetMismatchError("operands read different input alphabets")
-    _require_as(a, "product")
-    _require_as(b, "product")
-    a2 = _sticky(remove_erasing(a))
-    b2 = _sticky(remove_erasing(b))
+    _require_as(a, what)
+    _require_as(b, what)
+    flags = (a.accepts_empty, b.accepts_empty)
+    return (remove_erasing(a), remove_erasing(b),
+            any(flags) if keep_one else all(flags))
+
+
+def _product(a: Machine, b: Machine, keep_one: bool) -> Machine:
+    a2, b2, accepts_empty = _operands(a, b, keep_one, "product")
+    a2, b2 = _sticky(a2), _sticky(b2)
     sigma = sorted(a.input_alphabet, key=a2.tape.rank)
 
     pairs = [(x, y) for x in a2.tape.letters for y in b2.tape.letters]
@@ -325,31 +314,15 @@ def _product(a: Machine, b: Machine, keep_one: bool) -> Machine:
                 t[(state[(bot, q)], consumed)] = (
                     state[(bot, hit_b[0])], letter[(xa, hit_b[1])])
 
-    start = state[(a2.start, b2.start)]
-    states, t = _reachable_part(start, t)
-    accepting = set()
+    accepting = []
     for p, q in combos:
-        if state[(p, q)] not in states:
-            continue
         p_acc = p != bot and p in a2.accepting
         q_acc = q != bot and q in b2.accepting
         if (p_acc or q_acc) if keep_one else (p_acc and q_acc):
-            accepting.add(state[(p, q)])
-    if keep_one:
-        accepts_empty = a.accepts_empty or b.accepts_empty
-    else:
-        accepts_empty = a.accepts_empty and b.accepts_empty
-    return Machine(
-        input_alphabet=a.input_alphabet,
-        tape=_ordered(tape),
-        states=frozenset(states),
-        start=start,
-        accepting=frozenset(accepting),
-        transitions=t,
-        mode=Mode.AS,
-        accepts_empty=accepts_empty,
-        metadata={"normalized": "remove_erasing"},
-    )
+            accepting.append(state[(p, q)])
+    return _reachable_as(a.input_alphabet, tape, state[(a2.start, b2.start)],
+                         accepting, t, accepts_empty,
+                         metadata={"normalized": "remove_erasing"})
 
 
 def intersect(a: Machine, b: Machine) -> Machine:
@@ -417,17 +390,8 @@ def complement(a: Machine) -> Machine:
                 else:
                     t[(here, mark[y])] = (sink, mark[y])
 
-    states, t = _reachable_part(start, t)
-    return Machine(
-        input_alphabet=a.input_alphabet,
-        tape=_ordered(tape),
-        states=frozenset(states),
-        start=start,
-        accepting=frozenset({sink} if sink in states else ()),
-        transitions=t,
-        mode=Mode.AS,
-        accepts_empty=not a.accepts_empty,
-    )
+    return _reachable_as(a.input_alphabet, tape, start, (sink,), t,
+                         accepts_empty=not a.accepts_empty)
 
 
 def _sequential(a: Machine, b: Machine, keep_one: bool) -> Machine:
@@ -437,15 +401,12 @@ def _sequential(a: Machine, b: Machine, keep_one: bool) -> Machine:
     drops a's track and hands b the preserved word starting from the
     marked front cell.  For the union flavor, a rejecting by a missing
     transition falls through to b, but a run of a that cycles forever
-    keeps the combined machine cycling, so only pairs whose first operand
-    always halts are exact; the intersection flavor has no such caveat.
+    keeps the combined machine cycling.  a's phase runs remove_erasing(a),
+    in which a run that empties its tape cycles over placeholders, so the
+    union is exact on the words where remove_erasing(a) halts; the
+    intersection flavor has no such caveat.
     """
-    if a.input_alphabet != b.input_alphabet:
-        raise AlphabetMismatchError("operands read different input alphabets")
-    _require_as(a, "sequential product")
-    _require_as(b, "sequential product")
-    a2 = remove_erasing(a)
-    b2 = remove_erasing(b)
+    a2, b2, accepts_empty = _operands(a, b, keep_one, "sequential product")
     sigma = sorted(a.input_alphabet, key=a2.tape.rank)
 
     # letters: [t2] frozen track, [t1/t2] a-phase pairs, raw input; the m
@@ -516,22 +477,9 @@ def _sequential(a: Machine, b: Machine, keep_one: bool) -> Machine:
                 b_move((slot_b[q], frozen[(y, marked)]),
                        b2.transitions.get((q, y)), marked)
 
-    states, t = _reachable_part(start, t)
-    if keep_one:
-        accepts_empty = a.accepts_empty or b.accepts_empty
-    else:
-        accepts_empty = a.accepts_empty and b.accepts_empty
-    return Machine(
-        input_alphabet=a.input_alphabet,
-        tape=_ordered(tape),
-        states=frozenset(states),
-        start=start,
-        accepting=frozenset({goal} if goal in states else ()),
-        transitions=t,
-        mode=Mode.AS,
-        accepts_empty=accepts_empty,
-        metadata={"normalized": "remove_erasing", "extra_states": "3"},
-    )
+    return _reachable_as(
+        a.input_alphabet, tape, start, (goal,), t, accepts_empty,
+        metadata={"normalized": "remove_erasing", "extra_states": "3"})
 
 
 def intersect_sequential(a: Machine, b: Machine) -> Machine:
@@ -542,7 +490,7 @@ def intersect_sequential(a: Machine, b: Machine) -> Machine:
 def union_sequential(a: Machine, b: Machine) -> Machine:
     """Union within max(|Qa|, |Qb|) + 3 states.
 
-    Exact whenever the first operand halts on every input; see
+    Exact on every word on which remove_erasing(a) halts; see
     _sequential for the caveat on cycling first operands.
     """
     return _sequential(a, b, keep_one=True)
@@ -584,50 +532,38 @@ def parse_dfa(text: str) -> DfaSpec:
     States are whatever the other lines mention; trans lines have the
     shape 'trans: state letter -> state'.
     """
-    lines = list(_tokenize(text))
-    pos = 0
-    last_line = lines[-1][0] if lines else 1
-
-    def expect(directive: str):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(last_line, f"missing '{directive}:' directive")
-        number, tokens = lines[pos]
-        if tokens[0] != directive + ":":
-            raise ParseError(number,
-                             f"expected '{directive}:', got {tokens[0]!r}")
-        pos += 1
-        return number, tokens[1:]
-
-    _, alphabet = expect("alphabet")
+    expect, body = _read_directives(text)
+    alphabet_line, alphabet_tokens = expect("alphabet")
+    alphabet = _letters_of(alphabet_tokens, alphabet_line, "alphabet letter")
     start_line, start_tokens = expect("start")
     if len(start_tokens) != 1:
         raise ParseError(start_line, "start takes exactly one state")
-    _, accepting = expect("accept")
+    start = _letters_of(start_tokens, start_line, "state")[0]
+    accept_line, accept_tokens = expect("accept")
+    accepting = _letters_of(accept_tokens, accept_line, "accepting state")
     transitions: dict = {}
-    while pos < len(lines):
-        number, tokens = lines[pos]
-        pos += 1
+    for number, tokens in body():
         if tokens[0] != "trans:":
             raise ParseError(number, f"expected 'trans:', got {tokens[0]!r}")
-        body = tokens[1:]
-        if len(body) != 4 or body[2] != "->":
+        if len(tokens) != 5 or tokens[3] != "->":
             raise ParseError(number,
                              "trans needs the shape: state letter -> state")
-        q, x, _, q2 = body
+        _, q, x, _, q2 = tokens
+        for token in (q, q2):
+            if token in RESERVED_TOKENS:
+                raise ParseError(number, f"reserved token {token!r} in transition")
+        if x not in alphabet:
+            raise ParseError(number, f"transition letter {x!r} not in alphabet")
         if (q, x) in transitions:
             raise ParseError(number, f"duplicate transition for ({q}, {x})")
         transitions[(q, x)] = q2
 
-    states = {start_tokens[0], *accepting}
+    states = {start, *accepting}
     for (q, _), q2 in transitions.items():
         states.update((q, q2))
-    try:
-        return DfaSpec(alphabet=tuple(alphabet), states=frozenset(states),
-                       start=start_tokens[0], accepting=frozenset(accepting),
-                       transitions=transitions)
-    except ValueError as err:
-        raise ParseError(last_line, str(err)) from err
+    return DfaSpec(alphabet=tuple(alphabet), states=frozenset(states),
+                   start=start, accepting=frozenset(accepting),
+                   transitions=transitions)
 
 
 def dfa_accepts(d: DfaSpec, word) -> bool:

@@ -12,17 +12,16 @@ import pytest
 
 from common import (all_a, even_length, odd_length, pure_loop, starts_a_dfa,
                     two_hash_dfa, words)
-from fr1tass.gallery import (GALLERY, PcpInstance, balance_ab_et,
-                             center_language, encode_pcp_candidate,
-                             marked_copy, pcp_machine, power_of_two,
-                             random_unary_noaux)
+from fr1tass.gallery import (GALLERY, balance_ab_et, center_language,
+                             marked_copy, power_of_two, random_unary_noaux)
 from fr1tass.model import (Machine, Mode, OrderedAlphabet, ParseError,
                            ViolationCode, make_machine, parse_machine,
                            serialize_machine, validate)
 from fr1tass.oracle import (classify_unary_noaux, enumerate_accepted,
                             equivalent_up_to, is_balanced_ab, is_center_a,
-                            is_marked_copy, matches_predicate_up_to,
-                            pcp_solution_encoding)
+                            is_marked_copy, matches_predicate_up_to)
+from fr1tass.pcp import (PcpInstance, encode_pcp_candidate, pcp_machine,
+                         pcp_solution_encoding)
 from fr1tass.simulate import (Halted, RunLimits, Verdict, accepts,
                               flatten_trace, initial_configuration, run, step,
                               sweep_bound)

@@ -8,9 +8,9 @@ import pytest
 
 from fr1tass import oracle
 from fr1tass.cli import main
-from fr1tass.gallery import (PcpInstance, balance_ab_et, pcp_machine,
-                             power_of_two)
+from fr1tass.gallery import balance_ab_et, power_of_two
 from fr1tass.model import parse_machine, serialize_machine
+from fr1tass.pcp import PcpInstance, pcp_machine
 
 from common import all_a, pure_loop
 

@@ -4,11 +4,11 @@ import pytest
 
 from common import run_language, words
 from fr1tass.exceptions import IndexOutOfRangeError, PcpInstanceError
-from fr1tass.gallery import (GALLERY, PcpInstance, balance_ab_et,
-                             center_language, encode_pcp_candidate,
-                             marked_copy, parse_pcp_instance, pcp_machine,
-                             power_of_two, random_unary_noaux)
+from fr1tass.gallery import (GALLERY, balance_ab_et, center_language,
+                             marked_copy, power_of_two, random_unary_noaux)
 from fr1tass.model import Mode, ParseError, validate
+from fr1tass.pcp import (PcpInstance, encode_pcp_candidate, parse_pcp_instance,
+                         pcp_machine)
 from fr1tass.simulate import Verdict, accepts, run
 
 INSTANCE = PcpInstance(u_words=("a", "ab"), v_words=("aa", "b"),
@@ -133,6 +133,18 @@ def test_parse_pcp_instance():
         parse_pcp_instance("alphabet: a\nw: a\n")
     with pytest.raises(PcpInstanceError):
         parse_pcp_instance("alphabet: a\nu: a\n")  # unpaired word
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("alphabet: -\nu: -\nv: -\n", 1, "reserved token '-' used as base letter"),
+    ("u: a\nalphabet: a ->\nv: a\n", 2,
+     "reserved token '->' used as base letter"),
+    ("alphabet: a b a\nu: a\nv: a\n", 1, "duplicate base letter 'a'"),
+])
+def test_parse_pcp_instance_rejects_bad_alphabets(text, line, reason):
+    with pytest.raises(ParseError) as info:
+        parse_pcp_instance(text)
+    assert (info.value.line, info.value.reason) == (line, reason)
 
 
 def test_random_unary_is_reproducible():

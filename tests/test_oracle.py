@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from common import all_a, even_length, pure_loop, random_machine, words
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
-from fr1tass.gallery import (PcpInstance, balance_ab_et, center_language,
-                             encode_pcp_candidate, marked_copy, pcp_machine,
+from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
                              power_of_two, random_unary_noaux)
 from fr1tass.model import Mode, make_machine
 from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
@@ -19,7 +18,9 @@ from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
                             has_strongly_equivalent_states, is_balanced_ab,
                             is_center_a, is_marked_copy, is_palindrome,
                             is_power_of_two_block, matches_predicate_up_to,
-                            pcp_solution_encoding, regular)
+                            regular)
+from fr1tass.pcp import (PcpInstance, encode_pcp_candidate,
+                         pcp_solution_encoding)
 from fr1tass.simulate import accepts
 from fr1tass.transform import et_to_as
 

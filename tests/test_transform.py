@@ -1,16 +1,20 @@
 """Closure constructions and the DFA bridge."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import (all_a, even_length, odd_length, parity_dfa, run_language,
-                    starts_a_dfa, two_hash_dfa, words)
+from common import (all_a, even_length, odd_length, parity_dfa,
+                    random_machine, run_language, starts_a_dfa, two_hash_dfa,
+                    words)
 from fr1tass.exceptions import (AlphabetMismatchError, CycleError,
                                 ErasingInputError, ModeError)
 from fr1tass.gallery import balance_ab_et, center_language, power_of_two
 from fr1tass.model import (Machine, Mode, ParseError, make_machine,
                            parse_machine, serialize_machine, validate)
+from fr1tass.oracle import enumerate_accepted
 from fr1tass.simulate import Verdict, accepts, run
 from fr1tass.transform import (DfaSpec, PartialOrderSpec, as_to_et,
                                complement, dfa_accepts, et_to_as, from_dfa,
@@ -329,6 +333,30 @@ def test_parse_dfa():
         parse_dfa("start: s\naccept:\n")
 
 
+@pytest.mark.parametrize("text, line, reason", [
+    ("alphabet: a a\nstart: s\naccept:\n", 1,
+     "duplicate alphabet letter 'a'"),
+    ("alphabet: a\nstart: s\naccept:\ntrans: s b -> s\ntrans: s a -> s\n",
+     4, "transition letter 'b' not in alphabet"),
+    ("alphabet: ->\nstart: s\naccept:\n", 1,
+     "reserved token '->' used as alphabet letter"),
+    ("alphabet: a\nstart: -\naccept:\n", 2,
+     "reserved token '-' used as state"),
+    ("alphabet: a\nstart: s\naccept: s -\n", 3,
+     "reserved token '-' used as accepting state"),
+    ("alphabet: a\nstart: s\naccept:\ntrans: - a -> s\n", 4,
+     "reserved token '-' in transition"),
+    ("alphabet: a\nstart: s\naccept:\ntrans: s a -> ->\ntrans: s a -> s\n",
+     4, "reserved token '->' in transition"),
+    ("alphabet: a\nstart: s\naccept:\ntrans: s - -> s\n", 4,
+     "transition letter '-' not in alphabet"),
+])
+def test_parse_dfa_reports_the_faulty_line(text, line, reason):
+    with pytest.raises(ParseError) as info:
+        parse_dfa(text)
+    assert (info.value.line, info.value.reason) == (line, reason)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_from_dfa_agrees_with_direct_walk(data):
@@ -361,3 +389,62 @@ def test_transform_outputs_validate_clean():
     ]
     for m in outputs:
         assert validate(m) == []
+
+
+def test_union_sequential_caveat_covers_emptying_first_operands():
+    # a empties its tape on "a", so it rejects; remove_erasing(a) loops
+    # over placeholders instead, and the union inherits the loop
+    a, b = random_machine(45), random_machine(47)
+    assert run(a, "a").verdict is Verdict.REJECTED_EMPTY_TAPE
+    assert run(remove_erasing(a), "a").verdict is Verdict.REJECTED_LOOP
+    assert run(b, "a").verdict is Verdict.ACCEPTED
+    assert run(union_sequential(a, b), "a").verdict is Verdict.REJECTED_LOOP
+
+
+def _as_form(m: Machine) -> Machine:
+    return m if m.mode is Mode.AS else et_to_as(m)
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.data())
+def test_every_construction_matches_set_semantics(seed_a, seed_b, data):
+    """Each construction's words up to length 6, against the languages its
+    operands give with one run per word."""
+    a = random_machine(seed_a)
+    b = next(m for m in map(random_machine, itertools.count(seed_b))
+             if m.input_alphabet == a.input_alphabet)
+    sigma = sorted(a.input_alphabet)
+    everything = set(words(sigma, 6))
+    lang_a, lang_b = run_language(a, 6), run_language(b, 6)
+    a_as, b_as = _as_form(a), _as_form(b)
+    plain_a = remove_erasing(a_as)
+    cases = [
+        (remove_erasing, plain_a, lang_a),
+        (as_to_et, as_to_et(a_as), lang_a | {()}),
+        (complement, complement(plain_a), everything - lang_a),
+        (intersect, intersect(a_as, b_as), lang_a & lang_b),
+        (union, union(a_as, b_as), lang_a | lang_b),
+        (intersect_sequential, intersect_sequential(a_as, b_as),
+         lang_a & lang_b),
+    ]
+    if a.mode is Mode.ET:
+        cases.append((et_to_as, a_as, lang_a))
+    states = [f"d{i}" for i in range(data.draw(st.integers(1, 3)))]
+    table = {}
+    for q in states:
+        for x in sigma:
+            if data.draw(st.booleans()):
+                table[(q, x)] = data.draw(st.sampled_from(states))
+    d = DfaSpec(alphabet=sigma, states=states, start="d0",
+                accepting=[q for q in states if data.draw(st.booleans())],
+                transitions=table)
+    cases.append((from_dfa, from_dfa(d),
+                  {w for w in everything if dfa_accepts(d, w)}))
+    for construction, m, expected in cases:
+        assert enumerate_accepted(m, 6) == expected, construction.__name__
+    # union_sequential is exact only where remove_erasing(a) halts
+    halting = {w for w in everything
+               if run(plain_a, w).verdict is not Verdict.REJECTED_LOOP}
+    m = union_sequential(a_as, b_as)
+    assert ({w for w in halting if accepts(m, w)}
+            == (lang_a | lang_b) & halting)
