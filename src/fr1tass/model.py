@@ -327,21 +327,8 @@ def parse_machine(text: str, strict: bool = True) -> Machine:
                              ViolationCode.DUPLICATE_TRANSITION)
         transitions[(q, a)] = (q2, out)
 
-    states = {start, *accepting}
-    for (q, _), (q2, _) in transitions.items():
-        states.add(q)
-        states.add(q2)
-
-    return Machine(
-        input_alphabet=frozenset(sigma),
-        tape=OrderedAlphabet(tuple(gamma)),
-        states=frozenset(states),
-        start=start,
-        accepting=frozenset(accepting),
-        transitions=transitions,
-        mode=mode,
-        accepts_empty=accepts_empty,
-    )
+    return make_machine(sigma, gamma, start, accepting, transitions, mode,
+                        accepts_empty)
 
 
 def serialize_machine(m: Machine) -> str:

@@ -15,8 +15,7 @@ from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
 from .model import Machine, Mode, Word
-from .simulate import (_ACCEPTED, _budget, _compile, _core, _decide,
-                       _tape_type, accepts)
+from .simulate import _ACCEPTED, _compile, _decide, accepts
 
 
 # completion runs after which enumerate_accepted keeps its verdict table
@@ -45,12 +44,10 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     _MEMO_HIT_SHARE of them ended on a known boundary.  A run's boundaries
     are filed only if the table then holds at most _MEMO_MAX_KEYS.
 
-    Once the table is dropped, only verdicts matter, and completion runs
-    are queue runs (_decide), which keep no sweep bookkeeping.  A queue
-    run of a word of n letters has room for n steps times state_count + 2
-    times the most sweeps a probe run took.  One that uses it up undecided
-    goes to _core, whose loop cut decides it with the full budget, and
-    _core makes the call's remaining runs.
+    Every completion run is a queue run (simulate._decide), with the table
+    or without it.  Each one ends in a verdict: on a freezing machine a run
+    that never halts comes to write back every letter it reads, and the
+    queue run's loop cut catches that.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
@@ -60,21 +57,18 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
         accepted.add(())
     sigma = sorted(m.input_alphabet, key=m.tape.rank)
     codes = [comp.code[a] for a in sigma]
-    # the current node's word, its letter codes and what its first sweep wrote
-    prefix, coded, appended = [], [], []
+    # the current node's word and what its first sweep wrote
+    prefix, appended = [], []
     # per node on the path from the root: the row its first sweep reached,
     # the index of its next child letter, and len(appended) at the node
     stack = [(comp.start, 0, 0)]
-    budgets: list = []  # budgets[d] bounds a completion run of length d + 1
-    tape_of = _tape_type(comp, max_len)
     memo: Optional[dict] = {}
     passed: Optional[list] = []
-    runs = hits = most = 0  # most: the most sweeps of a probe run
-    pace = 0  # steps a queue run has per letter; 0 while _core makes runs
+    runs = hits = 0
     while stack:
         row, i, mark = stack[-1]
         depth = len(stack) - 1
-        del prefix[depth:], coded[depth:], appended[mark:]
+        del prefix[depth:], appended[mark:]
         if i == len(sigma) or depth == max_len:
             stack.pop()
             continue
@@ -91,37 +85,21 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
                                 for tail in itertools.product(sigma, repeat=r))
             continue
         prefix.append(sigma[i])
-        coded.append(codes[i])
         if comp.output[at] >= 0:
             appended.append(comp.output[at])
         end = len(appended)
         stack.append((target, 0, end))
-        if depth == len(budgets):
-            budgets.append(_budget(m, depth + 1))
-        verdict = None
-        if pace:
-            # the run appends to appended, which the next pass trims to end
-            verdict = _decide(comp, target, appended, pace * (depth + 1))
-            if verdict is None:
-                del appended[end:]
-                pace = 0
-        if verdict is None:
-            verdict, _, _, sweeps = _core(
-                comp, target, tape_of(appended), 2, tape_of(coded), depth + 1,
-                budgets[depth], False, None, memo, passed)
+        # the run appends to appended, which the next pass trims to end
+        verdict, hit = _decide(comp, target, appended, depth + 1, memo, passed)
         if memo is not None:
-            hits += sweeps is None
-            most = max(most, sweeps or 0)
-            if passed:
-                if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
-                    for key in passed:
-                        memo[key] = verdict
-                passed.clear()
+            hits += hit
+            if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
+                for key in passed:
+                    memo[key] = verdict
+            passed.clear()
             runs += 1
             if runs == _MEMO_PROBE_RUNS and hits <= _MEMO_HIT_SHARE * runs:
                 memo = passed = None
-                # a sweep of a run of n letters takes at most n steps
-                pace = (comp.state_count + 2) * most
         if verdict is _ACCEPTED:
             accepted.add(tuple(prefix))
     return accepted

@@ -78,10 +78,11 @@ def parse_pcp_instance(text: str) -> PcpInstance:
     """Parse an instance from one alphabet: line plus paired u:/v: lines.
 
     The alphabet: line may stand anywhere; the i-th u: line pairs with the
-    i-th v: line.
+    i-th v: line.  Words are checked once the alphabet is known, in line
+    order, then their pairing; a fault is reported on its line.
     """
     base = None
-    words: dict = {"u:": [], "v:": []}
+    words: dict = {"u:": [], "v:": []}  # (line, word) per side
     _, body = _read_directives(text)
     for number, tokens in body():
         head = tokens[0]
@@ -90,13 +91,26 @@ def parse_pcp_instance(text: str) -> PcpInstance:
                 raise ParseError(number, "duplicate alphabet: line")
             base = _letters_of(tokens[1:], number, "base letter")
         elif head in words:
-            words[head].append(tuple(tokens[1:]))
+            words[head].append((number, tuple(tokens[1:])))
         else:
             raise ParseError(number,
                              f"expected alphabet:, u: or v:, got {head!r}")
     if base is None:
         raise ParseError(1, "missing alphabet: line")
-    return PcpInstance(u_words=tuple(words["u:"]), v_words=tuple(words["v:"]),
+    u, v = words["u:"], words["v:"]
+    for number, word in sorted(u + v):
+        if not word:
+            raise ParseError(number, "empty word")
+        for letter in word:
+            if letter not in base:
+                raise ParseError(
+                    number, f"word letter {letter!r} outside base alphabet")
+    if len(u) != len(v):
+        side, lines = ("u:", u) if len(u) > len(v) else ("v:", v)
+        raise ParseError(lines[min(len(u), len(v))][0],
+                         f"{side} line without a partner")
+    return PcpInstance(u_words=tuple(w for _, w in u),
+                       v_words=tuple(w for _, w in v),
                        base_alphabet=tuple(base))
 
 

@@ -134,9 +134,10 @@ def step(m: Machine, c: Configuration):
 
 
 def sweep_bound(m: Machine, n: int) -> int:
-    """Sweeps a length-n run can start before looping is certain."""
-    k = len(m.tape)
-    return (n + n * (k - 1) + 1) * (len(m.states) + 1)
+    """Sweeps a length-n run can start before looping is certain, counting
+    every state and letter the transitions name."""
+    comp = _compile(m)
+    return (n + n * (len(comp.letters) - 1) + 1) * (comp.state_count + 1)
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def _compile(m: Machine) -> _Compiled:
         letters=letters, code=code, states=states, stride=stride,
         start=row[m.start], next_row=tuple(next_row), output=tuple(output),
         as_mode=as_mode, accepts_empty=m.accepts_empty,
-        state_count=len(m.states),
+        state_count=len(states),
         gate=_BLOCK_MIN if loops and len(letters) <= 256 else sys.maxsize))
     return m._compiled
 
@@ -224,38 +225,14 @@ def _block_tables(comp: _Compiled) -> tuple:
     return comp.blocks
 
 
-def _tape_type(comp: _Compiled, max_len: int):
-    """What makes the coded tape _core takes from a sequence of at most
-    max_len codes: bytes from comp.gate letters on, else a tuple."""
-    if max_len < comp.gate:
-        return tuple
-    return lambda codes: (bytes if len(codes) >= comp.gate else tuple)(codes)
-
-
-def _budget(m: Machine, n: int) -> int:
-    return sweep_bound(m, n) * max(n, 1) + n + 1
-
-
-def _core(comp: _Compiled, row: int, tape, sweep_index: int,
-          prev_tape, steps: int, budget: int,
-          budget_is_user: bool, records: Optional[list],
-          memo: Optional[dict] = None, passed: Optional[list] = None):
-    """Run from a sweep boundary on a coded tape (see _tape_type), one
-    sweep per pass; returns (verdict, row of the last state, steps, sweeps).
-
-    With a memo, a sweep boundary (row, tape) found in it ends the run with
-    its verdict and sweeps None; every other boundary met is appended to
-    passed, for the caller to file under the final verdict."""
+def _core(comp: _Compiled, tape, budget: int, budget_is_user: bool,
+          records: Optional[list]):
+    """Run from the start on a coded tape (see _Compiled), one sweep per
+    pass; returns (verdict, row of the last state, steps, sweeps)."""
     next_row, output, gate = comp.next_row, comp.output, comp.gate
-    state_count = comp.state_count
-    unchanged = 0
+    row, state_count = comp.start, comp.state_count
+    sweep_index, prev_tape, steps, unchanged = 1, None, 0, 0
     while tape:
-        if memo is not None:
-            key = (row, tape)
-            known = memo.get(key)
-            if known is not None:
-                return known, row, steps, None
-            passed.append(key)
         n = len(tape)
         # tapes of different lengths compare unequal without a letter read
         unchanged = unchanged + 1 if tape == prev_tape else 0
@@ -335,25 +312,66 @@ def _core(comp: _Compiled, row: int, tape, sweep_index: int,
     return _ACCEPTED, row, steps, sweep_index - 1
 
 
-def _decide(comp: _Compiled, row: int, queue: list, room: int):
-    """The verdict of a run that has taken a step and reached row with
-    the codes in queue, which it appends to: the run is one pass over
-    queue with no sweep bookkeeping.  None when room steps pass without a
-    halt, for _core to decide by its loop cut; such a run has cost room
-    steps and grown queue by up to room codes."""
-    next_row, output = comp.next_row, comp.output
-    write = queue.append
-    for c in islice(queue, room):
-        at = row + c
-        row = next_row[at]
-        if row < 0:
-            return _STUCK if row == -1 else _ACCEPTED
-        out = output[at]
-        if out >= 0:
-            write(out)
-    if len(queue) > room:
-        return None
-    return _EMPTY if comp.as_mode else _ACCEPTED
+def _decide(comp: _Compiled, row: int, queue: list, n: int,
+            memo: Optional[dict] = None, passed: Optional[list] = None):
+    """(verdict, whether memo gave it) of a run that has taken a step and
+    reached row with at most n codes in queue, which it appends to: the
+    run is one pass over queue with no sweep bookkeeping.
+
+    state_count * L steps in a row that each write back the letter they
+    read, on a tape of L letters, meet one tape state_count + 1 times, so
+    a state repeats and the run is a loop.  This is checked once per chunk
+    of state_count * n steps, or with a memo once per sweep.  Then a sweep
+    boundary (row, tape) found in memo ends the run with its verdict, and
+    every other boundary met is appended to passed, for the caller to
+    file under the final verdict."""
+    next_row, output, count = comp.next_row, comp.output, comp.state_count
+    write, letters = queue.append, iter(queue)  # letters yields appends too
+    key_of = bytes if len(comp.letters) <= 256 else tuple
+    # a freezing run makes at most n * len(letters) erasures and rewrites,
+    # with fewer than count * n steps between two
+    budget = (n * len(comp.letters) + 2) * count * n
+    i = streak = 0  # steps taken, the last streak of them writing back
+    end = len(queue)
+    tape = key_of(queue) if memo is not None else None  # the sweep's tape
+    while i < end:
+        if memo is None:
+            stop = i + count * n
+            span = islice(letters, count * n)
+        else:
+            key = (row, tape)
+            known = memo.get(key)
+            if known is not None:
+                return known, True
+            passed.append(key)
+            span, stop = tape, end
+        for c in span:
+            at = row + c
+            row = next_row[at]
+            if row < 0:
+                return (_STUCK if row == -1 else _ACCEPTED), False
+            out = output[at]
+            if out >= 0:
+                write(out)
+        top = len(queue)
+        if top <= stop:
+            break
+        if memo is None:
+            # with no erasure, step i + j wrote queue[end + j]
+            same = top - end == stop - i and queue[i:stop] == queue[end:]
+        else:
+            prev, tape = tape, key_of(queue[end:])
+            same = tape == prev
+        if same:
+            streak += stop - i
+            if streak >= count * (top - stop):
+                return _LOOP, False
+        elif stop > budget:
+            raise RuntimeError("internal step budget exhausted")
+        else:
+            streak = 0
+        i, end = stop, top
+    return (_EMPTY if comp.as_mode else _ACCEPTED), False
 
 
 def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> RunResult:
@@ -364,11 +382,13 @@ def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> 
     if limits.max_steps is not None:
         budget, budget_is_user = limits.max_steps, True
     else:
-        budget, budget_is_user = _budget(m, len(w)), False
+        n = len(w)
+        budget, budget_is_user = sweep_bound(m, n) * max(n, 1) + n + 1, False
     tape = tuple(map(comp.code.__getitem__, w))
+    if len(tape) >= comp.gate:
+        tape = bytes(tape)
     verdict, row, steps, sweeps = _core(
-        comp, comp.start, _tape_type(comp, len(tape))(tape), 1, None, 0,
-        budget, budget_is_user, records)
+        comp, tape, budget, budget_is_user, records)
     return RunResult(verdict=verdict, halting_state=comp.states[row // comp.stride],
                      sweeps=records, total_steps=steps, total_sweeps=sweeps)
 

@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from fr1tass.model import Mode, make_machine
+from fr1tass.model import Machine, Mode, OrderedAlphabet, make_machine
 from fr1tass.simulate import (Halted, HaltReason, RunResult, SweepCase,
                               SweepRecord, Verdict, accepts,
                               initial_configuration, step)
@@ -96,13 +96,53 @@ def random_machine(seed: int):
                         accepts_empty=as_mode and rng.random() < 0.3)
 
 
+def undeclared_chain(k: int, loops: bool):
+    """A machine declaring only its start state s.  On a, s steps through
+    k undeclared states q1 .. qk, writing a back each time; qk then goes
+    to the undeclared accepting state acc, or back to s when loops is
+    set.  So a run on a nonempty word accepts after k + 1 steps or
+    circles forever."""
+    chain = ["s", *(f"q{i}" for i in range(1, k + 1)), "s" if loops else "acc"]
+    return Machine(input_alphabet=frozenset("a"), tape=OrderedAlphabet(("a",)),
+                   states=frozenset({"s"}), start="s",
+                   accepting=frozenset({"acc"}), mode=Mode.AS,
+                   transitions={(q, "a"): (q2, "a")
+                                for q, q2 in zip(chain, chain[1:])})
+
+
+def stepped_verdict(m, word) -> Verdict:
+    """The verdict of m on word by single steps; a configuration met twice
+    is a loop.  It counts no states, so it also holds for machines whose
+    transitions name states they do not declare."""
+    c = initial_configuration(m, word)
+    seen = set()
+    while (c.state, c.tape) not in seen:
+        seen.add((c.state, c.tape))
+        nxt = step(m, c)
+        if isinstance(nxt, Halted):
+            if nxt.reason is HaltReason.STUCK:
+                return Verdict.REJECTED_STUCK
+            if m.mode is Mode.AS and not (c.steps_taken == 0
+                                          and m.accepts_empty):
+                return Verdict.REJECTED_EMPTY_TAPE
+            return Verdict.ACCEPTED
+        if m.mode is Mode.AS and nxt.state in m.accepting:
+            return Verdict.ACCEPTED
+        c = nxt
+    return Verdict.REJECTED_LOOP
+
+
 def reference_run(m, word, max_steps: int = 10**6) -> RunResult:
     """The traced run of m on word, one step at a time.
 
     Loops are cut by the engine's rule: more unchanged sweep-start tapes in
-    a row than there are states.  Each cut is certified against the set of
-    sweep-start configurations already visited.
+    a row than there are states, declared or named by a transition.  Each
+    cut is certified against the set of sweep-start configurations already
+    visited.
     """
+    named = {m.start, *m.states}
+    for (q, _), (q2, _) in m.transitions.items():
+        named.update((q, q2))
     c = initial_configuration(m, word)
     records, visited = [], set()
     prev, unchanged = None, 0
@@ -120,7 +160,7 @@ def reference_run(m, word, max_steps: int = 10**6) -> RunResult:
             records.append(SweepRecord(index=c.sweep_index, start_state=c.state,
                                        start_tape=c.tape, length=len(c.tape),
                                        case=case))
-            if unchanged > len(m.states):
+            if unchanged > len(named):
                 assert (c.state, c.tape) in visited, "loop cut without a repeat"
                 return RunResult(Verdict.REJECTED_LOOP, c.state, records,
                                  c.steps_taken, c.sweep_index)

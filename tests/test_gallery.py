@@ -131,7 +131,7 @@ def test_parse_pcp_instance():
         parse_pcp_instance("alphabet: a\nalphabet: a\nu: a\nv: a\n")
     with pytest.raises(ParseError):
         parse_pcp_instance("alphabet: a\nw: a\n")
-    with pytest.raises(PcpInstanceError):
+    with pytest.raises(ParseError):
         parse_pcp_instance("alphabet: a\nu: a\n")  # unpaired word
 
 
@@ -142,6 +142,26 @@ def test_parse_pcp_instance():
     ("alphabet: a b a\nu: a\nv: a\n", 1, "duplicate base letter 'a'"),
 ])
 def test_parse_pcp_instance_rejects_bad_alphabets(text, line, reason):
+    with pytest.raises(ParseError) as info:
+        parse_pcp_instance(text)
+    assert (info.value.line, info.value.reason) == (line, reason)
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("alphabet: a\nu: a\nu: z\nv: a\nv: a\n", 3,
+     "word letter 'z' outside base alphabet"),
+    ("u: a\nv: z\nalphabet: a\n", 2, "word letter 'z' outside base alphabet"),
+    ("alphabet: a\nu: a\nu: a\nv: a\nv:\n", 5, "empty word"),
+    ("alphabet: a\nu:\nv: a\n", 2, "empty word"),
+    ("alphabet: a\nu: a\nu: a a\nu: a\nv: a\n", 3,
+     "u: line without a partner"),
+    ("alphabet: a\nv: a\nu: a\nv: a a\n", 4, "v: line without a partner"),
+    # word faults are reported before the pairing
+    ("alphabet: a\nu: a\nu: a\nv: z\n", 4,
+     "word letter 'z' outside base alphabet"),
+])
+def test_parse_pcp_instance_reports_word_faults_on_their_line(text, line,
+                                                             reason):
     with pytest.raises(ParseError) as info:
         parse_pcp_instance(text)
     assert (info.value.line, info.value.reason) == (line, reason)

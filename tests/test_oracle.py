@@ -1,12 +1,11 @@
 """Enumeration, comparison, predicates, and the unary classifier."""
 
-import inspect
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import all_a, even_length, pure_loop, random_machine, words
+from common import (all_a, even_length, pure_loop, random_machine,
+                    stepped_verdict, undeclared_chain, words)
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
@@ -21,7 +20,7 @@ from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
                             regular)
 from fr1tass.pcp import (PcpInstance, encode_pcp_candidate,
                          pcp_solution_encoding)
-from fr1tass.simulate import accepts
+from fr1tass.simulate import Verdict, accepts
 from fr1tass.transform import et_to_as
 
 INSTANCE = PcpInstance(u_words=("a", "ab"), v_words=("aa", "b"),
@@ -87,132 +86,37 @@ def test_enumerate_matches_naive_scan_on_random_machines(seed, n_states):
     assert enumerate_accepted(m, 9) == _enumerate_naive(m, 9)
 
 
-# binds _core's arguments by name, so tests read no positions
-_CORE = inspect.signature(simulate._core)
-
-
 def _table_use(monkeypatch) -> dict:
     """Counts enumerate_accepted's completion runs made with (True) and
-    without (False) the verdict table; queue runs count as False, and
-    also under "queue", and under "undecided" when they return None.
-    "trail" lists every run in order as "table", "bare", "queue" or
-    "undecided", and "rooms" the steps each run had left in its budget.
-    "steps" and "sweeps" give, for each _core run, the steps taken before
-    it (its word's length) and the sweeps it returned, and None for a
-    queue run.  A queue run's verdict must be the one _core gives from
-    its tape, and it grows its queue by at most its room."""
-    used = {True: 0, False: 0, "queue": 0, "undecided": 0, "trail": [],
-            "rooms": [], "steps": [], "sweeps": []}
-    core, decide = oracle._core, oracle._decide
+    without (False) the verdict table, and lists under "sizes" how many
+    keys the table held at each run made with it."""
+    used = {True: 0, False: 0, "sizes": []}
+    decide = oracle._decide
 
-    def counted_core(*args, **kwargs):
-        bound = _CORE.bind(*args, **kwargs).arguments
-        table = bound.get("memo") is not None
-        used[table] += 1
-        used["rooms"].append(bound["budget"] - bound["steps"])
-        used["steps"].append(bound["steps"])
-        used["trail"].append("table" if table else "bare")
-        result = core(*args, **kwargs)
-        used["sweeps"].append(result[3])
-        return result
+    def counted(comp, row, queue, n, memo=None, passed=None):
+        used[memo is not None] += 1
+        if memo is not None:
+            used["sizes"].append(len(memo))
+        return decide(comp, row, queue, n, memo, passed)
 
-    def counted_decide(comp, row, queue, room):
-        tape = tuple(queue)
-        verdict = decide(comp, row, queue, room)
-        if verdict is not None:
-            # after a step, as in enumerate_accepted
-            coded = simulate._tape_type(comp, len(tape))(tape)
-            assert verdict is core(comp, row, coded, 2, None, 1, room + 1,
-                                   False, None)[0]
-        assert len(queue) - len(tape) <= room
-        used["rooms"].append(room)
-        used["steps"].append(None)
-        used["sweeps"].append(None)
-        used[False] += 1
-        used["queue"] += 1
-        used["undecided"] += verdict is None
-        used["trail"].append("queue" if verdict is not None else "undecided")
-        return verdict
-
-    monkeypatch.setattr(oracle, "_core", counted_core)
-    monkeypatch.setattr(oracle, "_decide", counted_decide)
+    monkeypatch.setattr(oracle, "_decide", counted)
     return used
 
 
-@pytest.mark.parametrize("build, n, kept, queued", [
-    (balance_ab_et, 10, True, False),
-    (lambda: et_to_as(balance_ab_et()), 10, True, False),
-    (center_language, 10, False, True),
-    (marked_copy, 9, False, True),
-    (power_of_two, _MEMO_PROBE_RUNS + 8, False, True),
+@pytest.mark.parametrize("build, n, kept", [
+    (balance_ab_et, 10, True),
+    (lambda: et_to_as(balance_ab_et()), 10, True),
+    (center_language, 10, False),
+    (marked_copy, 9, False),
+    (power_of_two, _MEMO_PROBE_RUNS + 8, False),
 ], ids=["balance_ab_et", "et_to_as_balance", "center_language",
         "marked_copy", "power_of_two"])
-def test_enumerate_verdict_table_past_the_probe(monkeypatch, build, n, kept,
-                                                queued):
+def test_enumerate_verdict_table_past_the_probe(monkeypatch, build, n, kept):
     m = build()
     used = _table_use(monkeypatch)
     assert enumerate_accepted(m, n) == _enumerate_naive(m, n)
     assert used[True] >= _MEMO_PROBE_RUNS
     assert (used[False] == 0) is kept
-    assert (used["queue"] > 0) is queued
-    assert used["undecided"] == 0
-
-
-def loop_after_probe():
-    """Accepts the empty word and every word that starts with a.  After
-    its first letter a run on a·w erases, writes w in working letters and
-    erases them, so no two runs share a boundary; one on b·w copies its
-    tape forever.  Words starting with a come first in enumeration, so
-    the first loop comes after the probe once there are enough of them."""
-    return make_machine(
-        sigma=("a", "b"), tape=("X", "Y", "a", "b"), start="s", accepting=(),
-        mode=Mode.ET,
-        transitions={("s", "a"): ("e", None), ("e", "a"): ("e", "X"),
-                     ("e", "b"): ("e", "Y"), ("e", "X"): ("e", None),
-                     ("e", "Y"): ("e", None), ("s", "b"): ("c", "b"),
-                     ("c", "a"): ("c", "a"), ("c", "b"): ("c", "b")})
-
-
-def test_enumerate_falls_back_to_core_after_an_undecided_queue_run(
-        monkeypatch):
-    m = loop_after_probe()
-    used = _table_use(monkeypatch)
-    got = enumerate_accepted(m, 10)
-    assert got == _enumerate_naive(m, 10)
-    assert got == {()} | {w for w in words(("a", "b"), 10) if w[:1] == ("a",)}
-    trail = used["trail"]
-    assert trail[:_MEMO_PROBE_RUNS] == ["table"] * _MEMO_PROBE_RUNS
-    assert used["undecided"] == 1
-    # queue runs until the first loop; _core decides that run and the rest
-    first = trail.index("undecided")
-    assert set(trail[_MEMO_PROBE_RUNS:first]) == {"queue"}
-    assert set(trail[first + 1:]) == {"bare"} and first + 1 < len(trail)
-    _assert_queue_room(m, used, first)
-
-
-def _assert_queue_room(m, used, first):
-    """The undecided queue run at trail index first had room for n steps
-    times len(m.states) + 2 times the most sweeps of a probe run, for its
-    word of n letters; _core then made the same run with the full budget."""
-    n = used["steps"][first + 1]
-    most = max(s for s in used["sweeps"][:_MEMO_PROBE_RUNS] if s)
-    assert used["rooms"][first] == (len(m.states) + 2) * most * n
-    assert used["rooms"][first + 1] == simulate._budget(m, n) - n
-
-
-def test_enumerate_bounds_an_undecided_queue_run_on_a_long_word(monkeypatch):
-    m = random_machine(107)  # one input letter, three tape letters, 4 states
-    assert (len(m.input_alphabet), len(m.tape), len(m.states)) == (1, 3, 4)
-    used = _table_use(monkeypatch)
-    n = _MEMO_PROBE_RUNS + 8
-    assert enumerate_accepted(m, n) == _enumerate_naive(m, n)
-    # the first run past the probe loops and is the one queue run
-    first = used["trail"].index("undecided")
-    assert first == _MEMO_PROBE_RUNS and used["queue"] == 1
-    assert used["steps"][first + 1] == _MEMO_PROBE_RUNS + 1
-    _assert_queue_room(m, used, first)
-    # so it gave up long before the budget, and its queue stayed as short
-    assert 100 * used["rooms"][first] < used["rooms"][first + 1]
 
 
 @pytest.mark.parametrize("probe", [_MEMO_PROBE_RUNS, 8])
@@ -225,26 +129,26 @@ def test_enumerate_queue_runs_on_random_general_machines(monkeypatch, probe):
         m = random_machine(seed)
         n = lengths[len(m.input_alphabet)]
         assert enumerate_accepted(m, n) == _enumerate_naive(m, n), seed
-    # queue runs and fallbacks both occur
-    assert used["queue"] > used["undecided"] > 0
+    assert used[False] > 0  # some calls dropped the table
 
 
 def test_enumerate_verdict_table_stops_filing_at_the_cap(monkeypatch):
     monkeypatch.setattr(oracle, "_MEMO_MAX_KEYS", 64)
-    sizes = []
-    core = oracle._core
-
-    def measured(*args, **kwargs):
-        memo = _CORE.bind(*args, **kwargs).arguments.get("memo")
-        if memo is not None:
-            sizes.append(len(memo))
-        return core(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "_core", measured)
+    sizes = _table_use(monkeypatch)["sizes"]
     m = et_to_as(balance_ab_et())
     assert enumerate_accepted(m, 10) == _enumerate_naive(m, 10)
     # the table fills up to the cap and stays there, lookups going on
     assert max(sizes) == 64 and sizes.count(64) > 100
+
+
+@pytest.mark.parametrize("k", [2, 5, 20])
+@pytest.mark.parametrize("loops", [False, True], ids=["accepts", "loops"])
+def test_enumerate_counts_undeclared_states(k, loops):
+    m = undeclared_chain(k, loops)
+    expected = {w for w in words(("a",), 8)
+                if w and stepped_verdict(m, w) is Verdict.ACCEPTED}
+    assert len(expected) == (0 if loops else 8)
+    assert enumerate_accepted(m, 8) == expected
 
 
 def mod_three():
@@ -256,16 +160,11 @@ def mod_three():
                      ("c", "A"): ("1", None)})
 
 
-def test_enumerate_past_the_block_gate(monkeypatch):
+def test_enumerate_past_the_block_gate():
     m = mod_three()
-    tables = []
-    build = simulate._block_tables
-    monkeypatch.setattr(simulate, "_block_tables",
-                        lambda comp: tables.append(comp) or build(comp))
     got = enumerate_accepted(m, 2 * simulate._BLOCK_MIN)
     assert got == _enumerate_naive(m, 2 * simulate._BLOCK_MIN)
     assert got == {("a",) * n for n in range(0, 2 * simulate._BLOCK_MIN + 1, 3)}
-    assert tables  # some completion run started on a bytes tape
 
 
 def test_enumerate_verdict_table_on_random_general_machines(monkeypatch):

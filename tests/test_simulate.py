@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import (all_a, pure_loop, random_machine, reference_run,
-                    run_language, words)
+                    run_language, stepped_verdict, undeclared_chain, words)
 from fr1tass import simulate
 from fr1tass.exceptions import LimitExceededError
 from fr1tass.gallery import (GALLERY, balance_ab_et, center_language,
@@ -290,39 +290,55 @@ def test_run_on_letters_off_the_tape():
     assert_matches_reference(m, 4)
 
 
-# ------------------------------------------------ queue runs against _core
+# ------------------------------------------------ queue runs against run
 
-def core_or_none(m, w, budget):
-    """_core's verdict on w within budget steps; None for a loop cut or
-    an exhausted budget, the cases in which a queue run returns None."""
+def assert_decide_matches_run(m, max_len):
+    """_decide from the start of each nonempty word gives run's verdict,
+    without a verdict table and with one that all the words share."""
     comp = simulate._compile(m)
-    codes = [comp.code[x] for x in w]
-    try:
-        verdict = simulate._core(
-            comp, comp.start, simulate._tape_type(comp, len(w))(codes), 1,
-            None, 0, budget, True, None)[0]
-    except LimitExceededError:
-        return None
-    return None if verdict is Verdict.REJECTED_LOOP else verdict
-
-
-def assert_decide_matches_core(m, max_len):
-    comp = simulate._compile(m)
+    memo = {}
     for w in words(sorted(m.input_alphabet), max_len):
         if not w:
             continue  # a queue run has taken a step; the empty word takes none
-        steps = run(m, w).total_steps
-        for room in (max(steps - 1, 0), steps, steps + 1, 2 * steps + 50):
-            got = simulate._decide(comp, comp.start,
-                                   [comp.code[x] for x in w], room)
-            assert got is core_or_none(m, w, room), (w, room)
+        expected = run(m, w).verdict
+        codes = [comp.code[x] for x in w]
+        assert simulate._decide(comp, comp.start, list(codes), len(w)) == (
+            expected, False), w
+        passed = []
+        verdict, hit = simulate._decide(comp, comp.start, list(codes), len(w),
+                                        memo, passed)
+        assert verdict is expected, w
+        if not hit:
+            # the first boundary met is the start, keyed with a bytes tape
+            assert passed[0] == (comp.start, bytes(codes)), w
+        for key in passed:
+            memo[key] = verdict
 
 
-def test_queue_runs_match_core_at_budget_edges():
+def test_queue_runs_match_run():
     for build in GALLERY.values():
-        assert_decide_matches_core(build(), 6)
+        assert_decide_matches_run(build(), 6)
     for seed in range(200):
-        assert_decide_matches_core(random_machine(seed), 4)
+        assert_decide_matches_run(random_machine(seed), 4)
+    for k in (2, 5, 20):
+        for loops in (False, True):
+            assert_decide_matches_run(undeclared_chain(k, loops), 6)
+
+
+@pytest.mark.parametrize("k", [2, 5, 20])
+@pytest.mark.parametrize("loops", [False, True], ids=["accepts", "loops"])
+def test_runs_count_undeclared_states(k, loops):
+    m = undeclared_chain(k, loops)
+    assert validate(m) != []
+    for n in range(1, 8):
+        expected = stepped_verdict(m, "a" * n)
+        assert expected is (Verdict.REJECTED_LOOP if loops
+                            else Verdict.ACCEPTED)
+        result = run(m, "a" * n, RunLimits(trace=True))
+        assert result.verdict is expected, n
+        assert result == reference_run(m, "a" * n)
+        if not loops:
+            assert result.total_steps == k + 1
 
 
 # ------------------------------------------------- block path on long tapes
