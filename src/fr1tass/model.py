@@ -334,8 +334,10 @@ def parse_machine(text: str, strict: bool = True) -> Machine:
 def serialize_machine(m: Machine) -> str:
     """Render a machine in the line-based format.
 
-    Transitions keep their construction order so output is stable;
-    parse_machine(serialize_machine(m)) is structurally identical to m.
+    Transitions keep the machine's order, which for the pruned
+    constructions is the order their pruning tail found them from the
+    start, so output is stable; parse_machine(serialize_machine(m)) is
+    structurally identical to m.
     """
     def row(directive: str, body: str) -> str:
         return f"{directive + ':':<7} {body}".rstrip()

@@ -4,9 +4,10 @@ All constructions return fresh valid machines and leave their inputs
 untouched.  Binary constructions require both operands to read the same
 input alphabet and, where the underlying simulation needs it, normalize
 erasing machines via remove_erasing first (recorded in the result's
-metadata).  et_to_as, complement and the four products keep only the
-states reachable from the start; remove_erasing, as_to_et and from_dfa
-keep every state.
+metadata).  et_to_as, complement and the four products end in one
+pruning tail, _reachable_as, that keeps only the states, tape letters and
+transitions a run can touch; the products work out only those
+transitions.  remove_erasing, as_to_et and from_dfa keep everything.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass, replace
 
 from .exceptions import (AlphabetMismatchError, CycleError, ErasingInputError,
                          ModeError)
-from .model import (RESERVED_TOKENS, Machine, Mode, OrderedAlphabet,
-                    ParseError, _letters_of, _read_directives, fresh_name,
-                    make_machine)
+from .model import (RESERVED_TOKENS, Machine, Mode, ParseError, _letters_of,
+                    _read_directives, fresh_name, make_machine)
 
 
 @dataclass(frozen=True)
@@ -69,33 +69,43 @@ def linear_extension(spec: PartialOrderSpec) -> tuple:
     return tuple(out)
 
 
-def _reachable_as(sigma, tape, start: str, accepting, transitions: dict,
+def _reachable_as(sigma, tape, start: str, accepting, move,
                   accepts_empty: bool, metadata=None) -> Machine:
-    """AS machine of the states and transitions reachable from start.
+    """AS machine of what runs from start can touch.
 
-    Transitions keep their order, and only reachable states stay accepting.
+    move maps a (state, letter) key to (state, output) or None.  It is
+    asked once for each key in the least sets of states and letters that
+    hold start and sigma and are closed under its answers; accepting
+    states other than start are not expanded, because a run halts on
+    entering one.  The tape keeps its order, restricted to the letters
+    reached, and the transitions keep the order they were found in.
+    Nothing else is ever read by a run, so the result is exact.
     """
-    by_source: dict = {}
-    for (q, _), (q2, _) in transitions.items():
-        by_source.setdefault(q, []).append(q2)
+    accepting = frozenset(accepting)
+    letters = [x for x in tape if x in sigma]
+    known = set(letters)
+    expanded = [start]
     seen = {start}
-    todo = [start]
-    while todo:
-        for q2 in by_source.get(todo.pop(), ()):
-            if q2 not in seen:
-                seen.add(q2)
-                todo.append(q2)
-    return Machine(
-        input_alphabet=sigma,
-        tape=OrderedAlphabet(tuple(tape)),
-        states=frozenset(seen),
-        start=start,
-        accepting=frozenset(seen.intersection(accepting)),
-        transitions={k: v for k, v in transitions.items() if k[0] in seen},
-        mode=Mode.AS,
-        accepts_empty=accepts_empty,
-        metadata=metadata or {},
-    )
+    todo = [(start, x) for x in letters]
+    transitions = {}
+    for key in todo:  # todo grows while it is walked
+        hit = move(key)
+        if hit is None:
+            continue
+        transitions[key] = hit
+        q2, out = hit
+        if out is not None and out not in known:
+            known.add(out)
+            letters.append(out)
+            todo += [(q, out) for q in expanded]
+        if q2 not in seen:
+            seen.add(q2)
+            if q2 not in accepting:
+                expanded.append(q2)
+                todo += [(q2, x) for x in letters]
+    return make_machine(sigma, [x for x in tape if x in known], start,
+                        accepting & seen, transitions, Mode.AS, accepts_empty,
+                        extra_states=seen, metadata=metadata)
 
 
 def _marked_names(letters) -> dict:
@@ -224,7 +234,7 @@ def et_to_as(a: Machine) -> Machine:
             t[(clean(q), mark[y])] = (clean(q2), mark[out])
             t[(seen(q), mark[y])] = (clean(q2), mark[out])
 
-    return _reachable_as(a.input_alphabet, tape, init, (acc,), t,
+    return _reachable_as(a.input_alphabet, tape, init, (acc,), t.get,
                          accepts_empty=True)
 
 
@@ -245,15 +255,26 @@ def _sticky(m: Machine) -> Machine:
     return replace(m, transitions=transitions)
 
 
-def _joint_names(parts, taken) -> dict:
-    """Injective readable names for tuples, avoiding the taken set."""
-    suffix = ""
+def _fresh_names(keys, show, taken) -> dict:
+    """Injective names show(key, tick) for keys, avoiding the taken set.
+
+    The tick grows until the names are distinct and free.  show puts it
+    after each separator and at the end, so a long enough tick always
+    separates a key's parts unambiguously.
+    """
+    tick = ""
     while True:
-        names = {p: "(" + ",".join(p) + ")" + suffix for p in parts}
+        names = {k: show(k, tick) for k in keys}
         values = set(names.values())
         if len(values) == len(names) and not (values & set(taken)):
             return names
-        suffix += "'"
+        tick += "'"
+
+
+def _joint_names(parts, taken) -> dict:
+    """Readable names (p,q) for tuples, avoiding the taken set."""
+    return _fresh_names(
+        parts, lambda p, tick: "(" + ("," + tick).join(p) + ")" + tick, taken)
 
 
 def _operands(a: Machine, b: Machine, keep_one: bool, what: str):
@@ -273,15 +294,12 @@ def _product(a: Machine, b: Machine, keep_one: bool) -> Machine:
     a2, b2 = _sticky(a2), _sticky(b2)
     sigma = sorted(a.input_alphabet, key=a2.tape.rank)
 
+    # pairs in rank order already extend the componentwise order, and
+    # every pair sits below every raw letter
     pairs = [(x, y) for x in a2.tape.letters for y in b2.tape.letters]
     letter = _joint_names(pairs, sigma)
-    order = linear_extension(PartialOrderSpec(
-        elements=tuple(letter[p] for p in pairs),
-        pairs=tuple((letter[(x1, y1)], letter[(x2, y2)])
-                    for x1, y1 in pairs for x2, y2 in pairs
-                    if a2.rank(x1) <= a2.rank(x2) and b2.rank(y1) <= b2.rank(y2)),
-    ))
-    tape = order + tuple(sigma)  # every pair sits below every raw letter
+    reads = {x: (x, x) for x in sigma}
+    reads.update((name, p) for p, name in letter.items())
 
     bot = fresh_name("_", a2.states | b2.states)
     combos = [(p, q) for p in sorted(a2.states) for q in sorted(b2.states)]
@@ -289,30 +307,21 @@ def _product(a: Machine, b: Machine, keep_one: bool) -> Machine:
         combos += [(p, bot) for p in sorted(a2.states)]
         combos += [(bot, q) for q in sorted(b2.states)]
     state = _joint_names(combos, ())
+    combo = {name: c for c, name in state.items()}
 
-    t: dict = {}
-    for p, q in combos:
-        reads = ([(x, x, x) for x in sigma] +
-                 [(letter[(x, y)], x, y) for x, y in pairs])
-        for consumed, xa, xb in reads:
-            hit_a = a2.transitions.get((p, xa)) if p != bot else None
-            hit_b = b2.transitions.get((q, xb)) if q != bot else None
-            if p != bot and q != bot:
-                if hit_a and hit_b:
-                    t[(state[(p, q)], consumed)] = (
-                        state[(hit_a[0], hit_b[0])], letter[(hit_a[1], hit_b[1])])
-                elif keep_one and hit_a:
-                    t[(state[(p, q)], consumed)] = (
-                        state[(hit_a[0], bot)], letter[(hit_a[1], xb)])
-                elif keep_one and hit_b:
-                    t[(state[(p, q)], consumed)] = (
-                        state[(bot, hit_b[0])], letter[(xa, hit_b[1])])
-            elif p != bot and hit_a:
-                t[(state[(p, bot)], consumed)] = (
-                    state[(hit_a[0], bot)], letter[(hit_a[1], xb)])
-            elif q != bot and hit_b:
-                t[(state[(bot, q)], consumed)] = (
-                    state[(bot, hit_b[0])], letter[(xa, hit_b[1])])
+    def move(key):
+        """One product step, worked out from the components on demand; a
+        component at bot is stuck and repeats its track's letters."""
+        (p, q), (xa, xb) = combo[key[0]], reads[key[1]]
+        hit_a = p != bot and a2.transitions.get((p, xa))
+        hit_b = q != bot and b2.transitions.get((q, xb))
+        if hit_a and hit_b:
+            return state[(hit_a[0], hit_b[0])], letter[(hit_a[1], hit_b[1])]
+        if keep_one and hit_a:
+            return state[(hit_a[0], bot)], letter[(hit_a[1], xb)]
+        if keep_one and hit_b:
+            return state[(bot, hit_b[0])], letter[(xa, hit_b[1])]
+        return None
 
     accepting = []
     for p, q in combos:
@@ -320,8 +329,9 @@ def _product(a: Machine, b: Machine, keep_one: bool) -> Machine:
         q_acc = q != bot and q in b2.accepting
         if (p_acc or q_acc) if keep_one else (p_acc and q_acc):
             accepting.append(state[(p, q)])
-    return _reachable_as(a.input_alphabet, tape, state[(a2.start, b2.start)],
-                         accepting, t, accepts_empty,
+    return _reachable_as(a.input_alphabet, list(letter.values()) + sigma,
+                         state[(a2.start, b2.start)], accepting, move,
+                         accepts_empty,
                          metadata={"normalized": "remove_erasing"})
 
 
@@ -390,7 +400,7 @@ def complement(a: Machine) -> Machine:
                 else:
                     t[(here, mark[y])] = (sink, mark[y])
 
-    return _reachable_as(a.input_alphabet, tape, start, (sink,), t,
+    return _reachable_as(a.input_alphabet, tape, start, (sink,), t.get,
                          accepts_empty=not a.accepts_empty)
 
 
@@ -411,19 +421,13 @@ def _sequential(a: Machine, b: Machine, keep_one: bool) -> Machine:
 
     # letters: [t2] frozen track, [t1/t2] a-phase pairs, raw input; the m
     # variants mark the tape's front cell
-    tape = []
-    frozen = {}
-    for y in b2.tape.letters:
-        frozen[(y, False)] = f"[{y}]"
-        frozen[(y, True)] = f"[{y}]m"
-        tape += [frozen[(y, False)], frozen[(y, True)]]
-    phase1 = {}
-    for x2 in sigma:
-        for x1 in a2.tape.letters:
-            phase1[(x1, x2, False)] = f"[{x1}/{x2}]"
-            phase1[(x1, x2, True)] = f"[{x1}/{x2}]m"
-            tape += [phase1[(x1, x2, False)], phase1[(x1, x2, True)]]
-    tape += sigma
+    keys = [(y, marked) for y in b2.tape.letters for marked in (False, True)]
+    keys += [(x1, x2, marked) for x2 in sigma for x1 in a2.tape.letters
+             for marked in (False, True)]
+    name = _fresh_names(
+        keys, lambda k, tick: ("[" + ("/" + tick).join(k[:-1]) + "]"
+                               + ("m" if k[-1] else "") + tick), sigma)
+    tape = list(name.values()) + sigma
 
     slot_a = {q: f"s{i}" for i, q in enumerate(sorted(a2.states))}
     slot_b = {q: f"s{i}" for i, q in enumerate(sorted(b2.states))}
@@ -433,21 +437,21 @@ def _sequential(a: Machine, b: Machine, keep_one: bool) -> Machine:
         """Route one step of a's program from the given letter context."""
         if hit is None:
             if keep_one:
-                t[source] = (freezer, frozen[(x2, marked)])
+                t[source] = (freezer, name[(x2, marked)])
             return
         q2, out = hit
         if q2 in a2.accepting:
             after = goal if keep_one else freezer
-            t[source] = (after, frozen[(x2, marked)])
+            t[source] = (after, name[(x2, marked)])
         else:
-            t[source] = (slot_a[q2], phase1[(out, x2, marked)])
+            t[source] = (slot_a[q2], name[(out, x2, marked)])
 
     def b_move(source, hit, marked):
         if hit is None:
             return
         q2, out = hit
         after = goal if q2 in b2.accepting else slot_b[q2]
-        t[source] = (after, frozen[(out, marked)])
+        t[source] = (after, name[(out, marked)])
 
     t: dict = {}
     for x in sigma:
@@ -457,28 +461,28 @@ def _sequential(a: Machine, b: Machine, keep_one: bool) -> Machine:
             a_move((slot_a[q], x), a2.transitions.get((q, x)), x, False)
             for x1 in a2.tape.letters:
                 for marked in (False, True):
-                    a_move((slot_a[q], phase1[(x1, x, marked)]),
+                    a_move((slot_a[q], name[(x1, x, marked)]),
                            a2.transitions.get((q, x1)), x, marked)
     # the freeze pass drops a's track, then seeks the marked front cell
     # and feeds it to b's start
     for x in sigma:
-        t[(freezer, x)] = (freezer, frozen[(x, False)])
+        t[(freezer, x)] = (freezer, name[(x, False)])
         for x1 in a2.tape.letters:
             for marked in (False, True):
-                t[(freezer, phase1[(x1, x, marked)])] = (
-                    freezer, frozen[(x, marked)])
+                t[(freezer, name[(x1, x, marked)])] = (
+                    freezer, name[(x, marked)])
     for y in b2.tape.letters:
-        t[(freezer, frozen[(y, False)])] = (freezer, frozen[(y, False)])
-        b_move((freezer, frozen[(y, True)]),
+        t[(freezer, name[(y, False)])] = (freezer, name[(y, False)])
+        b_move((freezer, name[(y, True)]),
                b2.transitions.get((b2.start, y)), True)
     for q in sorted(b2.states - b2.accepting):
         for y in b2.tape.letters:
             for marked in (False, True):
-                b_move((slot_b[q], frozen[(y, marked)]),
+                b_move((slot_b[q], name[(y, marked)]),
                        b2.transitions.get((q, y)), marked)
 
     return _reachable_as(
-        a.input_alphabet, tape, start, (goal,), t, accepts_empty,
+        a.input_alphabet, tape, start, (goal,), t.get, accepts_empty,
         metadata={"normalized": "remove_erasing", "extra_states": "3"})
 
 

@@ -205,7 +205,7 @@ def test_transform_binary_to_file(tmp_path, power_file, all_a_file, capsys):
     assert main(["transform", "intersect", power_file, all_a_file,
                  "-o", out]) == 0
     m = parse_machine(open(out).read())
-    assert len(m.states) == 10
+    assert len(m.states) == 6
 
 
 def test_transform_sequential_ops(power_file, all_a_file, capsys):

@@ -1,6 +1,9 @@
 """Closure constructions and the DFA bridge."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from common import (all_a, even_length, odd_length, parity_dfa,
                     random_machine, run_language, starts_a_dfa, two_hash_dfa,
                     words)
+from fr1tass import transform
 from fr1tass.exceptions import (AlphabetMismatchError, CycleError,
                                 ErasingInputError, ModeError)
 from fr1tass.gallery import balance_ab_et, center_language, power_of_two
@@ -35,8 +39,19 @@ def reachable_states(m: Machine) -> set[str]:
     return seen
 
 
-def assert_pruned(m: Machine):
+def assert_reachable(m: Machine):
     assert reachable_states(m) == set(m.states)
+
+
+def assert_pruned(m: Machine):
+    """m holds no more than its runs can touch: reachable states, letters
+    that are input or written, and no rows out of a state that halts."""
+    assert_reachable(m)
+    written = {out for _, out in m.transitions.values()}
+    assert set(m.tape.letters) <= m.input_alphabet | written
+    for q, x in m.transitions:
+        assert x in m.tape
+        assert q == m.start or q not in m.accepting
 
 
 def roundtrips(m: Machine):
@@ -83,7 +98,7 @@ def test_remove_erasing_preserves_language():
     assert not b.has_erasing()
     assert b.tape.letters == ("BOX", "A", "a")
     assert run_language(b, 12) == run_language(a, 12)
-    assert_pruned(b)
+    assert_reachable(b)
     roundtrips(b)
 
 
@@ -114,7 +129,7 @@ def test_as_to_et_preserves_nonempty_words():
         got = run_language(b, 9) - {()}
         assert got == want, build.__name__
         assert accepts(b, ())  # emptying machines always take the empty word
-        assert_pruned(b)
+        assert_reachable(b)
         roundtrips(b)
 
 
@@ -129,7 +144,7 @@ def test_et_to_as_matches_on_frozen_machine():
     assert b.mode is Mode.AS
     assert b.accepts_empty
     assert len(b.states) == 6
-    assert len(b.tape.letters) == 6
+    assert len(b.tape.letters) == 5
     assert run_language(b, 10) == run_language(a, 10)
     for word in ((), ("a",), ("a", "b")):
         assert run(b, word).verdict is Verdict.ACCEPTED
@@ -155,8 +170,8 @@ def test_mode_bridges_compose():
 
 def test_intersect_frozen_shape():
     c = intersect(power_of_two(), all_a())
-    assert len(c.states) == 10
-    assert len(c.tape.letters) == 7
+    assert len(c.states) == 6
+    assert len(c.tape.letters) == 4
     assert c.metadata["normalized"] == "remove_erasing"
     assert run_language(c, 10) == run_language(power_of_two(), 10)
     assert_pruned(c)
@@ -200,12 +215,25 @@ def test_products_reject_mismatched_or_emptying_operands():
         union(center_language(), balance_ab_et())
 
 
+def test_product_state_names_stay_distinct_when_states_hold_commas():
+    # the pairs (x,y | z) and (x | y,z) would both be named (x,y,z)
+    a = make_machine(sigma=("a",), tape=("a",), start="x", accepting=("x,y",),
+                     transitions={("x", "a"): ("x,y", "a")}, mode=Mode.AS)
+    b = make_machine(sigma=("a",), tape=("a",), start="z", accepting=("y,z",),
+                     transitions={("z", "a"): ("y,z", "a")}, mode=Mode.AS)
+    for product in (intersect, union):
+        c = product(a, b)
+        assert len(c.states) == 2
+        assert run_language(c, 4) == set(words("a", 4)) - {()}
+        roundtrips(c)
+
+
 # --------------------------------------------------------------- complement
 
 def test_complement_is_exact_on_power_of_two():
     base = remove_erasing(power_of_two())
     comp = complement(base)
-    assert len(comp.states) == 30
+    assert len(comp.states) == 8
     assert comp.accepts_empty
     lang = run_language(base, 9)
     assert run_language(comp, 9) == set(words("a", 9)) - lang
@@ -222,7 +250,7 @@ def test_complement_always_halts():
 def test_complement_involution():
     base = remove_erasing(power_of_two())
     double = complement(complement(base))
-    assert len(double.states) == 930
+    assert len(double.states) == 9
     assert run_language(double, 8) == run_language(base, 8)
     assert not double.accepts_empty
 
@@ -263,6 +291,26 @@ def test_union_sequential_matches_product():
     assert len(c.states) <= bound
     assert run_language(c, 8) == run_language(union(a, b), 8)
     assert c.accepts_empty
+
+
+def test_sequential_letter_names_avoid_input_letters():
+    # the frozen-track copy of the letter a would be named [a], which is
+    # also an input letter here
+    sigma = ("a", "[a]")
+    even = from_dfa(DfaSpec(
+        alphabet=sigma, states=("e", "o"), start="e", accepting=("e",),
+        transitions={(q, x): "o" if q == "e" else "e"
+                     for q in "eo" for x in sigma}))
+    first_a = from_dfa(DfaSpec(
+        alphabet=sigma, states=("s", "in"), start="s", accepting=("in",),
+        transitions={("s", "a"): "in", ("in", "a"): "in",
+                     ("in", "[a]"): "in"}))
+    for a, b in ((even, first_a), (first_a, even)):
+        la, lb = run_language(a, 4), run_language(b, 4)
+        assert run_language(intersect_sequential(a, b), 4) == la & lb
+        assert run_language(intersect(a, b), 4) == la & lb
+        assert run_language(union_sequential(a, b), 4) == la | lb
+        assert run_language(union(a, b), 4) == la | lb
 
 
 def test_sequential_rejects_mismatched_alphabets():
@@ -448,3 +496,83 @@ def test_every_construction_matches_set_semantics(seed_a, seed_b, data):
     m = union_sequential(a_as, b_as)
     assert ({w for w in halting if accepts(m, w)}
             == (lang_a | lang_b) & halting)
+    # every construction but these three ends in the pruning tail
+    assert_pruned(m)
+    for construction, m, _ in cases:
+        if construction not in (remove_erasing, as_to_et, from_dfa):
+            assert_pruned(m)
+
+
+# ------------------------------------------------------------------ pruning
+
+def test_pruned_sizes_of_the_benchmark_constructions():
+    """(states, tape letters, transitions) of the constructions the
+    benchmark builds, so that a construction that regrows fails here."""
+    center = center_language()
+    balance = et_to_as(balance_ab_et())
+    built = {
+        "et_to_as": balance,
+        "intersect": intersect(center, balance),
+        "union": union(center, balance),
+        "intersect_sequential": intersect_sequential(center, balance),
+        "union_sequential": union_sequential(center, balance),
+        "complement center": complement(remove_erasing(center)),
+        "complement balance": complement(remove_erasing(balance)),
+    }
+    sizes = {name: (len(m.states), len(m.tape.letters), len(m.transitions))
+             for name, m in built.items()}
+    assert sizes == {
+        "et_to_as": (6, 5, 22),
+        "intersect": (59, 24, 997),
+        "union": (76, 37, 2059),
+        "intersect_sequential": (16, 28, 196),
+        "union_sequential": (16, 28, 287),
+        "complement center": (18, 12, 170),
+        "complement balance": (41, 5, 162),
+    }
+    for m in built.values():
+        assert_pruned(m)
+
+
+SERIALIZE_EVERY_CONSTRUCTION = """
+import hashlib
+from common import random_machine
+from fr1tass import (as_to_et, complement, et_to_as, intersect,
+                     intersect_sequential, remove_erasing, serialize_machine,
+                     union, union_sequential)
+from fr1tass.gallery import GALLERY
+from fr1tass.model import Mode
+
+operands = [build() for build in GALLERY.values()]
+operands += [random_machine(seed) for seed in range(12)]
+built, as_forms = [], []
+for m in operands:
+    if m.mode is Mode.AS:
+        built += [remove_erasing(m), as_to_et(m), complement(remove_erasing(m))]
+        as_forms.append(m)
+    else:
+        built.append(et_to_as(m))
+        as_forms.append(built[-1])
+for i, a in enumerate(as_forms):
+    b = next((b for b in as_forms[i + 1:]
+              if b.input_alphabet == a.input_alphabet), None)
+    if b is not None:
+        built += [product(a, b) for product in (
+            intersect, union, intersect_sequential, union_sequential)]
+for m in built:
+    print(hashlib.md5(serialize_machine(m).encode()).hexdigest())
+"""
+
+
+def test_construction_output_does_not_depend_on_the_hash_seed():
+    # transitions are listed in the order the pruning tail finds them, so
+    # that order must not come from iterating a set of strings
+    src = os.path.dirname(os.path.dirname(transform.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__)])
+    outputs = [subprocess.run(
+        [sys.executable, "-c", SERIALIZE_EVERY_CONSTRUCTION],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+    ).stdout for seed in ("0", "1")]
+    assert len(outputs[0].split()) > 50
+    assert outputs[0] == outputs[1]
