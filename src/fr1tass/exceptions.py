@@ -13,10 +13,6 @@ class AlphabetMismatchError(Fr1tassError):
     """Two machines were combined but their input alphabets differ."""
 
 
-class CycleError(Fr1tassError):
-    """A partial order contains a cycle among distinct elements."""
-
-
 class ErasingInputError(Fr1tassError):
     """Operation requires a non-erasing machine but got erasing transitions."""
 

@@ -4,69 +4,20 @@ All constructions return fresh valid machines and leave their inputs
 untouched.  Binary constructions require both operands to read the same
 input alphabet and, where the underlying simulation needs it, normalize
 erasing machines via remove_erasing first (recorded in the result's
-metadata).  et_to_as, complement and the four products end in one
-pruning tail, _reachable_as, that keeps only the states, tape letters and
-transitions a run can touch; the products work out only those
-transitions.  remove_erasing, as_to_et and from_dfa keep everything.
+metadata).  et_to_as, complement and the four products are each a step
+rule that works out one transition on demand from the operands' own
+rows; one pruning tail, _reachable_as, asks it only about the states and
+tape letters a run can touch and keeps just those.  remove_erasing,
+as_to_et and from_dfa keep everything.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 
-from .exceptions import (AlphabetMismatchError, CycleError, ErasingInputError,
-                         ModeError)
+from .exceptions import AlphabetMismatchError, ErasingInputError, ModeError
 from .model import (RESERVED_TOKENS, Machine, Mode, ParseError, _letters_of,
                     _read_directives, fresh_name, make_machine)
-
-
-@dataclass(frozen=True)
-class PartialOrderSpec:
-    """Elements plus (lo, hi) pairs meaning lo is at or below hi."""
-
-    elements: tuple
-    pairs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs)))
-
-
-def linear_extension(spec: PartialOrderSpec) -> tuple:
-    """Total order refining the given partial order.
-
-    Ties are broken by element input order, so the result is deterministic.
-    Raises CycleError when the pairs relate distinct elements cyclically.
-    """
-    elements = list(spec.elements)
-    pos = {e: i for i, e in enumerate(elements)}
-    if len(pos) != len(elements):
-        raise ValueError("duplicate elements")
-    succs = {e: [] for e in elements}
-    indegree = {e: 0 for e in elements}
-    seen = set()
-    for lo, hi in spec.pairs:
-        if lo not in pos or hi not in pos:
-            raise ValueError(f"pair ({lo}, {hi}) mentions unknown elements")
-        if lo == hi or (lo, hi) in seen:
-            continue
-        seen.add((lo, hi))
-        succs[lo].append(hi)
-        indegree[hi] += 1
-    ready = [pos[e] for e in elements if indegree[e] == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        e = elements[heapq.heappop(ready)]
-        out.append(e)
-        for s in succs[e]:
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                heapq.heappush(ready, pos[s])
-    if len(out) != len(elements):
-        raise CycleError("order relates elements cyclically")
-    return tuple(out)
 
 
 def _reachable_as(sigma, tape, start: str, accepting, move,
@@ -198,61 +149,37 @@ def et_to_as(a: Machine) -> Machine:
     box = fresh_name("BOX", set(a.tape.letters) | a.input_alphabet)
     plain = (box,) + a.tape.letters
     mark = _marked_names(plain)
+    unmark = {mark[x]: x for x in plain}
     tape = []
     for x in plain:
         tape += [mark[x], x]
 
-    def clean(q):
-        return q + "@c"
+    def move(key):
+        """One step, worked out from a's rows on demand.  A state q has
+        the copies q@c, on a clean lap, and q@s; init and acc carry no @
+        suffix, so they never clash with a copy.  init reads the input
+        as if it were marked."""
+        state, letter = key
+        if state == "init":
+            if letter not in a.input_alphabet:
+                return None
+            q, y, marked = a.start, letter, True
+        else:
+            q, y = state[:-2], unmark.get(letter, letter)
+            marked = y != letter
+            if y == box and not marked:
+                return state, box
+            if y == box:
+                return ("acc" if state.endswith("@c") else q + "@c"), letter
+        hit = a.transitions.get((q, y))
+        if hit is None:
+            return None
+        q2, out = hit
+        out = box if out is None else out
+        return (q2 + "@c", mark[out]) if marked else (q2 + "@s", out)
 
-    def seen(q):
-        return q + "@s"
-
-    copies = {clean(q) for q in a.states} | {seen(q) for q in a.states}
-    init = fresh_name("init", copies)
-    acc = fresh_name("acc", copies | {init})
-
-    t: dict = {}
-    for x in sorted(a.input_alphabet, key=a.tape.rank):
-        hit = a.transitions.get((a.start, x))
-        if hit is not None:
-            q2, out = hit
-            t[(init, x)] = (clean(q2), mark[out if out is not None else box])
-    for q in sorted(a.states):
-        t[(clean(q), box)] = (clean(q), box)
-        t[(seen(q), box)] = (seen(q), box)
-        t[(clean(q), mark[box])] = (acc, mark[box])
-        t[(seen(q), mark[box])] = (clean(q), mark[box])
-        for y in a.tape.letters:
-            hit = a.transitions.get((q, y))
-            if hit is None:
-                continue
-            q2, out = hit
-            out = out if out is not None else box
-            t[(clean(q), y)] = (seen(q2), out)
-            t[(seen(q), y)] = (seen(q2), out)
-            t[(clean(q), mark[y])] = (clean(q2), mark[out])
-            t[(seen(q), mark[y])] = (clean(q2), mark[out])
-
-    return _reachable_as(a.input_alphabet, tape, init, (acc,), t.get,
+    return _reachable_as(a.input_alphabet, tape, "init", ("acc",), move,
                          accepts_empty=True)
-
-
-def _sticky(m: Machine) -> Machine:
-    """Park accepting states on same-letter loops.
-
-    In a lockstep product one component may accept long before the other;
-    the loops let the finished component idle without going missing.  The
-    component language is unchanged because acceptance halts the machine
-    the moment such a state is entered.
-    """
-    m = _split_accepting_start(m)
-    transitions = {k: v for k, v in m.transitions.items()
-                   if k[0] not in m.accepting}
-    for f in sorted(m.accepting):
-        for x in m.tape.letters:
-            transitions[(f, x)] = (f, x)
-    return replace(m, transitions=transitions)
 
 
 def _fresh_names(keys, show, taken) -> dict:
@@ -291,7 +218,7 @@ def _operands(a: Machine, b: Machine, keep_one: bool, what: str):
 
 def _product(a: Machine, b: Machine, keep_one: bool) -> Machine:
     a2, b2, accepts_empty = _operands(a, b, keep_one, "product")
-    a2, b2 = _sticky(a2), _sticky(b2)
+    a2, b2 = _split_accepting_start(a2), _split_accepting_start(b2)
     sigma = sorted(a.input_alphabet, key=a2.tape.rank)
 
     # pairs in rank order already extend the componentwise order, and
@@ -309,12 +236,23 @@ def _product(a: Machine, b: Machine, keep_one: bool) -> Machine:
     state = _joint_names(combos, ())
     combo = {name: c for c, name in state.items()}
 
+    def step(m, p, x):
+        if p == bot:
+            return None
+        return (p, x) if p in m.accepting else m.transitions.get((p, x))
+
     def move(key):
-        """One product step, worked out from the components on demand; a
-        component at bot is stuck and repeats its track's letters."""
+        """One product step, worked out from the components on demand.
+
+        A component at bot is stuck and repeats its track's letters.  A
+        component in an accepting state idles on its letter: in a
+        lockstep product one component may accept long before the other,
+        and the idling lets the finished one wait without going missing.
+        The component language is unchanged, because acceptance halts
+        the component the moment such a state is entered.
+        """
         (p, q), (xa, xb) = combo[key[0]], reads[key[1]]
-        hit_a = p != bot and a2.transitions.get((p, xa))
-        hit_b = q != bot and b2.transitions.get((q, xb))
+        hit_a, hit_b = step(a2, p, xa), step(b2, q, xb)
         if hit_a and hit_b:
             return state[(hit_a[0], hit_b[0])], letter[(hit_a[1], hit_b[1])]
         if keep_one and hit_a:
@@ -363,44 +301,46 @@ def complement(a: Machine) -> Machine:
         raise ErasingInputError(
             "complement needs a non-erasing machine (apply remove_erasing first)")
     mark = _marked_names(a.tape.letters)
+    unmark = {mark[x]: x for x in a.tape.letters}
     tape = []
     for x in a.tape.letters:
         tape += [mark[x], x]
-    rounds = len(a.states) + 1
+    # every state a run can enter counts, declared or not
+    named = {a.start, *a.states}
+    for (q, _), (q2, _) in a.transitions.items():
+        named.update((q, q2))
+    rounds = len(named) + 1
 
-    def copy(q, i):
-        return f"{q}.{i}"
+    def move(key):
+        """One step, worked out from a's rows on demand.  The copy q.i of
+        q has seen i - 1 change-free crossings; start and sink carry no
+        dot, so they never clash with a copy."""
+        state, letter = key
+        if state == "start":
+            if letter not in a.input_alphabet:
+                return None
+            hit = a.transitions.get((a.start, letter))
+            if hit is None:
+                return "sink", mark[letter]
+            return f"{hit[0]}.1", mark[hit[1]]
+        q, i = state.rsplit(".", 1)
+        if q in a.accepting:
+            return None
+        y = unmark.get(letter, letter)
+        marked = letter != y
+        hit = a.transitions.get((q, y))
+        if hit is None:
+            return "sink", letter
+        q2, out = hit
+        if out != y:
+            return f"{q2}.1", (mark[out] if marked else out)
+        if not marked:
+            return f"{q2}.{i}", out
+        if int(i) <= rounds:
+            return f"{q2}.{int(i) + 1}", letter
+        return "sink", letter
 
-    names = {copy(q, i) for q in a.states for i in range(1, rounds + 2)}
-    start = fresh_name("start", names)
-    sink = fresh_name("sink", names | {start})
-
-    t: dict = {}
-    for x in sorted(a.input_alphabet, key=a.tape.rank):
-        hit = a.transitions.get((a.start, x))
-        if hit is not None:
-            t[(start, x)] = (copy(hit[0], 1), mark[hit[1]])
-        else:
-            t[(start, x)] = (sink, mark[x])
-    for q in sorted(a.states - a.accepting):
-        for i in range(1, rounds + 2):
-            here = copy(q, i)
-            for y in a.tape.letters:
-                hit = a.transitions.get((q, y))
-                if hit is None:
-                    t[(here, y)] = (sink, y)
-                    t[(here, mark[y])] = (sink, mark[y])
-                    continue
-                q2, out = hit
-                t[(here, y)] = (copy(q2, i if out == y else 1), out)
-                if out != y:
-                    t[(here, mark[y])] = (copy(q2, 1), mark[out])
-                elif i <= rounds:
-                    t[(here, mark[y])] = (copy(q2, i + 1), mark[y])
-                else:
-                    t[(here, mark[y])] = (sink, mark[y])
-
-    return _reachable_as(a.input_alphabet, tape, start, (sink,), t.get,
+    return _reachable_as(a.input_alphabet, tape, "start", ("sink",), move,
                          accepts_empty=not a.accepts_empty)
 
 
@@ -431,58 +371,45 @@ def _sequential(a: Machine, b: Machine, keep_one: bool) -> Machine:
 
     slot_a = {q: f"s{i}" for i, q in enumerate(sorted(a2.states))}
     slot_b = {q: f"s{i}" for i, q in enumerate(sorted(b2.states))}
+    # a slot runs a's rows on a-phase letters and b's on frozen ones;
+    # accepting states have no rows
+    of_a = {s: q for q, s in slot_a.items() if q not in a2.accepting}
+    of_b = {s: q for q, s in slot_b.items() if q not in b2.accepting}
     start, freezer, goal = "c0", "c1", "fin"
+    reads = {v: k for k, v in name.items()}
+    reads.update((x, (x, x, False)) for x in sigma)  # raw x reads as [x/x]
 
-    def a_move(source, hit, x2, marked):
-        """Route one step of a's program from the given letter context."""
+    def move(key):
+        """One step, worked out from the operands' rows on demand; the
+        letter's shape tells a's phase from b's."""
+        state, letter = key
+        *track, marked = reads[letter]
+        if state == freezer and (len(track) == 2 or not marked):
+            # the freeze pass drops a's track, then seeks the marked
+            # front cell and feeds it to b's start
+            return freezer, name[(track[-1], marked)]
+        if len(track) == 2:
+            (x1, x2), q = track, of_a.get(state)
+            if state == start and letter in a.input_alphabet:
+                q, marked = a2.start, True
+            if q is None:
+                return None
+            hit = a2.transitions.get((q, x1))
+            if hit is None:
+                return (freezer, name[(x2, marked)]) if keep_one else None
+            q2, out = hit
+            if q2 in a2.accepting:
+                return (goal if keep_one else freezer), name[(x2, marked)]
+            return slot_a[q2], name[(out, x2, marked)]
+        q = b2.start if state == freezer else of_b.get(state)
+        hit = b2.transitions.get((q, track[0]))
         if hit is None:
-            if keep_one:
-                t[source] = (freezer, name[(x2, marked)])
-            return
+            return None
         q2, out = hit
-        if q2 in a2.accepting:
-            after = goal if keep_one else freezer
-            t[source] = (after, name[(x2, marked)])
-        else:
-            t[source] = (slot_a[q2], name[(out, x2, marked)])
-
-    def b_move(source, hit, marked):
-        if hit is None:
-            return
-        q2, out = hit
-        after = goal if q2 in b2.accepting else slot_b[q2]
-        t[source] = (after, name[(out, marked)])
-
-    t: dict = {}
-    for x in sigma:
-        a_move((start, x), a2.transitions.get((a2.start, x)), x, True)
-    for q in sorted(a2.states - a2.accepting):
-        for x in sigma:
-            a_move((slot_a[q], x), a2.transitions.get((q, x)), x, False)
-            for x1 in a2.tape.letters:
-                for marked in (False, True):
-                    a_move((slot_a[q], name[(x1, x, marked)]),
-                           a2.transitions.get((q, x1)), x, marked)
-    # the freeze pass drops a's track, then seeks the marked front cell
-    # and feeds it to b's start
-    for x in sigma:
-        t[(freezer, x)] = (freezer, name[(x, False)])
-        for x1 in a2.tape.letters:
-            for marked in (False, True):
-                t[(freezer, name[(x1, x, marked)])] = (
-                    freezer, name[(x, marked)])
-    for y in b2.tape.letters:
-        t[(freezer, name[(y, False)])] = (freezer, name[(y, False)])
-        b_move((freezer, name[(y, True)]),
-               b2.transitions.get((b2.start, y)), True)
-    for q in sorted(b2.states - b2.accepting):
-        for y in b2.tape.letters:
-            for marked in (False, True):
-                b_move((slot_b[q], name[(y, marked)]),
-                       b2.transitions.get((q, y)), marked)
+        return (goal if q2 in b2.accepting else slot_b[q2]), name[(out, marked)]
 
     return _reachable_as(
-        a.input_alphabet, tape, start, (goal,), t.get, accepts_empty,
+        a.input_alphabet, tape, start, (goal,), move, accepts_empty,
         metadata={"normalized": "remove_erasing", "extra_states": "3"})
 
 

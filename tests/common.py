@@ -110,6 +110,16 @@ def undeclared_chain(k: int, loops: bool):
                                 for q, q2 in zip(chain, chain[1:])})
 
 
+def undeclared_et_pair():
+    """An ET machine declaring only its start state s.  On a, s goes to
+    the undeclared state q1, writing a back, and q1 erases the a it reads
+    on its way back to s.  So every word empties its tape."""
+    return Machine(input_alphabet=frozenset("a"), tape=OrderedAlphabet(("a",)),
+                   states=frozenset({"s"}), start="s", accepting=frozenset(),
+                   mode=Mode.ET, transitions={("s", "a"): ("q1", "a"),
+                                              ("q1", "a"): ("s", None)})
+
+
 def stepped_verdict(m, word) -> Verdict:
     """The verdict of m on word by single steps; a configuration met twice
     is a loop.  It counts no states, so it also holds for machines whose

@@ -10,21 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import (all_a, even_length, odd_length, parity_dfa,
-                    random_machine, run_language, starts_a_dfa, two_hash_dfa,
-                    words)
+                    random_machine, run_language, starts_a_dfa,
+                    stepped_verdict, two_hash_dfa, undeclared_chain,
+                    undeclared_et_pair, words)
 from fr1tass import transform
-from fr1tass.exceptions import (AlphabetMismatchError, CycleError,
-                                ErasingInputError, ModeError)
+from fr1tass.exceptions import (AlphabetMismatchError, ErasingInputError,
+                                ModeError)
 from fr1tass.gallery import balance_ab_et, center_language, power_of_two
 from fr1tass.model import (Machine, Mode, ParseError, make_machine,
                            parse_machine, serialize_machine, validate)
 from fr1tass.oracle import enumerate_accepted
 from fr1tass.simulate import Verdict, accepts, run
-from fr1tass.transform import (DfaSpec, PartialOrderSpec, as_to_et,
-                               complement, dfa_accepts, et_to_as, from_dfa,
-                               intersect, intersect_sequential,
-                               linear_extension, parse_dfa, remove_erasing,
-                               union, union_sequential)
+from fr1tass.transform import (DfaSpec, as_to_et, complement, dfa_accepts,
+                               et_to_as, from_dfa, intersect,
+                               intersect_sequential, parse_dfa,
+                               remove_erasing, union, union_sequential)
 
 
 def reachable_states(m: Machine) -> set[str]:
@@ -64,30 +64,6 @@ def accepting_start() -> Machine:
     return make_machine(
         sigma=("a",), tape=("a",), start="s", accepting=("s",), mode=Mode.AS,
         transitions={("s", "a"): ("t", "a"), ("t", "a"): ("s", "a")})
-
-
-# ---------------------------------------------------------------- ordering
-
-def test_linear_extension_respects_pairs_and_input_order():
-    spec = PartialOrderSpec(elements=("c", "b", "a"),
-                            pairs=(("a", "b"), ("a", "c")))
-    assert linear_extension(spec) == ("a", "c", "b")
-    free = PartialOrderSpec(elements=("z", "y", "x"), pairs=())
-    assert linear_extension(free) == ("z", "y", "x")
-
-
-def test_linear_extension_rejects_cycles_and_bad_input():
-    with pytest.raises(CycleError):
-        linear_extension(PartialOrderSpec(("a", "b"), (("a", "b"), ("b", "a"))))
-    with pytest.raises(ValueError):
-        linear_extension(PartialOrderSpec(("a", "a"), ()))
-    with pytest.raises(ValueError):
-        linear_extension(PartialOrderSpec(("a",), (("a", "q"),)))
-
-
-def test_linear_extension_ignores_redundant_pairs():
-    spec = PartialOrderSpec(("a", "b"), (("a", "a"), ("a", "b"), ("a", "b")))
-    assert linear_extension(spec) == ("a", "b")
 
 
 # ---------------------------------------------------------- erasure removal
@@ -153,6 +129,15 @@ def test_et_to_as_matches_on_frozen_machine():
         assert run(b, word).verdict is Verdict.REJECTED_LOOP
     assert_pruned(b)
     roundtrips(b)
+
+
+def test_et_to_as_follows_undeclared_states():
+    m = undeclared_et_pair()
+    b = et_to_as(m)
+    for word in words(("a",), 4):
+        expected = stepped_verdict(m, word) is Verdict.ACCEPTED
+        assert (run(b, word).verdict is Verdict.ACCEPTED) == expected
+    assert run_language(b, 4) == set(words(("a",), 4))
 
 
 def test_et_to_as_rejects_as_input():
@@ -253,6 +238,14 @@ def test_complement_involution():
     assert len(double.states) == 9
     assert run_language(double, 8) == run_language(base, 8)
     assert not double.accepts_empty
+
+
+@pytest.mark.parametrize("k", [2, 5, 20])
+@pytest.mark.parametrize("loops", [False, True], ids=["accepts", "loops"])
+def test_complement_counts_undeclared_states(k, loops):
+    m = undeclared_chain(k, loops)
+    assert (enumerate_accepted(complement(m), 4)
+            == enumerate_accepted(complement(remove_erasing(m)), 4))
 
 
 def test_complement_input_constraints():
