@@ -403,6 +403,15 @@ def make_machine(sigma: Iterable[str], tape: Iterable[str], start: str,
     )
 
 
+def named_states(m: Machine) -> tuple:
+    """Every state a run of m can enter, declared or not, each once: the
+    start, the declared states in sorted order, then the states only the
+    transitions name, in the order first met."""
+    return tuple(dict.fromkeys([
+        m.start, *sorted(m.states),
+        *(x for (q, _), (q2, _) in m.transitions.items() for x in (q, q2))]))
+
+
 def fresh_name(base: str, taken) -> str:
     """First variant of base (base, base2, base3, ...) not in taken."""
     if base not in taken:

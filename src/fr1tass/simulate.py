@@ -9,9 +9,12 @@ state to repeat on identical tapes, which proves the run is circling; the
 engine rejects such runs instead of spinning forever.
 
 Freezing bounds how often a letter is rewritten, so long runs spend most
-steps in cells (q, x) -> (q, y).  On bytes tapes (see _BLOCK_MIN) a sweep
-copies each block of letters its state loops on in one regex match and
-one bytes.translate, with tables built on first use (_block_tables).
+steps either in cells (q, x) -> (q, y) or cycling through a short period
+of states.  On bytes tapes (see _BLOCK_MIN) a sweep copies each block of
+letters its state loops on in one go, and steps a row that neither has
+such a cell nor leads to one by a memo of _CHUNK-letter chunks, which
+lives for the sweep.  The tables are built on a machine's first bytes
+tape (_block_tables).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from itertools import islice
 from typing import Iterable, Optional
 
 from .exceptions import LimitExceededError
-from .model import Machine, Mode, Word
+from .model import Machine, Mode, Word, named_states
 
 
 class Verdict(enum.Enum):
@@ -144,15 +147,16 @@ def sweep_bound(m: Machine, n: int) -> int:
 class _Compiled:
     """A machine's table with letters coded in tape order (then any letter
     an unvalidated machine uses off the tape) and each state by its row,
-    index * stride.  ``next_row[row + letter]`` is the next row, -1 for no
-    transition and ``-2 - row`` for an accepting row in AS mode;
-    ``output[row + letter]`` is the letter written, -1 for an erasure.
-    Tapes of at least ``gate`` letters are bytes and shorter ones tuples,
-    so the format depends only on the length and equal tapes compare
-    equal."""
+    index * stride.  ``input_code`` codes the input letters only.
+    ``next_row[row + letter]`` is the next row, -1 for no transition and
+    ``-2 - row`` for an accepting row in AS mode; ``output[row + letter]``
+    is the letter written, -1 for an erasure.  Tapes of at least ``gate``
+    letters are bytes and shorter ones tuples, so the format depends only
+    on the length and equal tapes compare equal."""
 
     letters: tuple
     code: dict
+    input_code: dict
     states: tuple
     stride: int
     start: int
@@ -165,9 +169,15 @@ class _Compiled:
     blocks: Optional[tuple] = None
 
 
-# The gate of a machine with a self-loop cell and at most 256 letters; on
-# shorter tapes blocks are short and a regex call costs more than it saves.
+# The gate of a machine with at most 256 letters; on shorter tapes blocks
+# and chunks are short and a block copy or a chunk lookup costs more than
+# the steps it saves.
 _BLOCK_MIN = 32
+# Letters a chunk row (see _block_tables) steps per memo lookup.
+_CHUNK = 32
+# The end of a block that at most this many letters can end is found by
+# bytes.find, one call per letter; a regex match finds the others.
+_FIND_MAX = 2
 
 
 def _compile(m: Machine) -> _Compiled:
@@ -178,9 +188,7 @@ def _compile(m: Machine) -> _Compiled:
     letters = tuple(dict.fromkeys([
         *m.tape.letters, *sorted(m.input_alphabet),
         *(x for (_, a), (_, out) in items for x in (a, out) if x is not None)]))
-    states = tuple(dict.fromkeys([
-        m.start, *sorted(m.states), *(x for (q, _), (q2, _) in items
-                                      for x in (q, q2))]))
+    states = named_states(m)
     code = {x: i for i, x in enumerate(letters)}
     stride = max(len(letters), 1)
     row = {q: i * stride for i, q in enumerate(states)}
@@ -189,39 +197,54 @@ def _compile(m: Machine) -> _Compiled:
               for q, r in row.items()}
     next_row = [-1] * (len(states) * stride)
     output = next_row.copy()
-    loops = False
     for (q, a), (q2, out) in items:
         at = row[q] + code[a]
         next_row[at] = target[q2]
-        loops = loops or target[q2] == row[q]
         if out is not None:
             output[at] = code[out]
     object.__setattr__(m, "_compiled", _Compiled(
-        letters=letters, code=code, states=states, stride=stride,
-        start=row[m.start], next_row=tuple(next_row), output=tuple(output),
-        as_mode=as_mode, accepts_empty=m.accepts_empty,
+        letters=letters, code=code,
+        input_code={x: code[x] for x in m.input_alphabet}, states=states,
+        stride=stride, start=row[m.start], next_row=tuple(next_row),
+        output=tuple(output), as_mode=as_mode, accepts_empty=m.accepts_empty,
         state_count=len(states),
-        gate=_BLOCK_MIN if loops and len(letters) <= 256 else sys.maxsize))
+        gate=_BLOCK_MIN if len(letters) <= 256 else sys.maxsize))
     return m._compiled
 
 
 def _block_tables(comp: _Compiled) -> tuple:
-    """(skip, blocks), kept on comp: skip is next_row with each self-loop
-    cell set to -2 - len(next_row) - row, below every accepting value;
-    blocks[row] holds the match of a run of letters row loops on, the
-    translate table of their outputs, and the bytes of those it erases."""
-    skip, blocks, output = list(comp.next_row), {}, comp.output
-    for row in range(0, len(skip), comp.stride):
-        cs = [c for c in range(comp.stride) if skip[row + c] == row]
+    """(skip, loops, blocks), kept on comp.  loops is next_row with each
+    self-loop cell set to -2 - len(next_row) - row, below every accepting
+    value.  skip is loops with each cell of a chunk row set to
+    -2 - 2 * len(next_row) - row, below those: a row that, like every row
+    it moves to, has no self-loop cell, so that a chunk from it seldom
+    stops at a block.  blocks[row] finds the end of a run of letters row
+    loops on, by bytes.find of the letters that end it when there are at
+    most _FIND_MAX of them and by a regex match otherwise, and copies it,
+    by the translate table of its outputs and the bytes of those it
+    erases, or None when every such cell writes back the letter it read."""
+    loops, blocks, output = list(comp.next_row), {}, comp.output
+    size, codes = len(loops), range(comp.stride)
+    cells = {row: [c for c in codes if loops[row + c] == row]
+             for row in range(0, size, comp.stride)}
+    skip = loops.copy()
+    for row, cs in cells.items():
+        if not cs:
+            if not any(cells.get(loops[row + c]) for c in codes):
+                for c in codes:
+                    skip[row + c] = -2 - 2 * size - row
+            continue
         for c in cs:
-            skip[row + c] = -2 - len(skip) - row
-        if cs:
-            kept = [c for c in cs if output[row + c] >= 0]
-            blocks[row] = (
-                re.compile(b"[%s]*" % re.escape(bytes(cs))).match,
-                bytes.maketrans(bytes(kept), bytes(output[row + c] for c in kept)),
-                bytes(c for c in cs if output[row + c] < 0))
-    object.__setattr__(comp, "blocks", (tuple(skip), blocks))
+            loops[row + c] = skip[row + c] = -2 - size - row
+        ends = [c for c in codes if c not in cs]
+        kept = [c for c in cs if output[row + c] >= 0]
+        blocks[row] = (
+            ends if len(ends) <= _FIND_MAX else
+            re.compile(b"[%s]*" % re.escape(bytes(cs))).match,
+            None if all(output[row + c] == c for c in cs) else
+            bytes.maketrans(bytes(kept), bytes(output[row + c] for c in kept)),
+            bytes(c for c in cs if output[row + c] < 0))
+    object.__setattr__(comp, "blocks", (tuple(skip), tuple(loops), blocks))
     return comp.blocks
 
 
@@ -268,10 +291,12 @@ def _core(comp: _Compiled, tape, budget: int, budget_is_user: bool,
                     erased += 1
             after = tuple(written)
         else:
-            skip, blocks = comp.blocks or _block_tables(comp)
+            skip, loops, blocks = comp.blocks or _block_tables(comp)
             floor = -1 - len(skip)  # skip values below it mark self-loop cells
+            chunks = floor - len(skip)  # and below this rows with none
             end, view, written = min(n, room), memoryview(tape), bytearray()
             write = written.append
+            memo: dict = {}  # (row, chunk) -> (row after, bytes written)
             erased = i = 0
             while True:
                 for c in view[i:end]:
@@ -286,6 +311,39 @@ def _core(comp: _Compiled, tape, budget: int, budget_is_user: bool,
                         erased += 1
                 else:
                     break
+                i = len(written) + erased
+                if row < chunks:
+                    # step chunk rows by the memo, filling in what it lacks;
+                    # a chunk row marks every cell, so its first one tells
+                    row = chunks - 1 - row
+                    while i < end and skip[row] < chunks:
+                        j = min(i + _CHUNK, end)
+                        key = row, tape[i:j]
+                        hit = memo.get(key)
+                        if hit is not None:
+                            row, out = hit
+                            written += out
+                            erased, i = j - len(written), j
+                            continue
+                        before = len(written)
+                        for c in view[i:j]:
+                            at = row + c
+                            row = loops[at]
+                            if row < 0:
+                                break
+                            out = output[at]
+                            if out >= 0:
+                                write(out)
+                            else:
+                                erased += 1
+                        else:
+                            memo[key] = row, bytes(written[before:])
+                            i = j
+                            continue
+                        break  # a halt, or a self-loop cell copied below
+                    else:
+                        continue  # back to single steps
+                    i = len(written) + erased
                 if row >= floor:
                     steps += len(written) + erased
                     if row == -1:
@@ -293,10 +351,19 @@ def _core(comp: _Compiled, tape, budget: int, budget_is_user: bool,
                     return _ACCEPTED, -2 - row, steps + 1, sweep_index
                 # copy the whole block this row loops on in one go
                 row = floor - 1 - row
-                match, table, erases = blocks[row]
-                i = len(written) + erased
-                j = match(tape, i, end).end()
-                written += tape[i:j].translate(table, erases)
+                ends, table, erases = blocks[row]
+                if type(ends) is list:
+                    j = end
+                    for x in ends:
+                        k = tape.find(x, i, j)
+                        if k >= 0:
+                            j = k
+                else:
+                    j = ends(tape, i, end).end()
+                if table is None:
+                    written += view[i:j]
+                else:
+                    written += tape[i:j].translate(table, erases)
                 erased, i = j - len(written), j
             after = bytes(written) if len(written) >= gate else tuple(written)
         if n > room:
@@ -376,17 +443,21 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int,
 
 def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> RunResult:
     limits = limits or RunLimits()
-    w = _check_word(m, word)
     comp = _compile(m)
+    w = tuple(word)
+    codes = map(comp.input_code.__getitem__, w)
+    try:
+        # checked and coded in one pass
+        tape = bytes(codes) if len(w) >= comp.gate else tuple(codes)
+    except KeyError:
+        _check_word(m, w)  # raises, naming the first letter not in the input
+        raise
     records: Optional[list] = [] if limits.trace else None
     if limits.max_steps is not None:
         budget, budget_is_user = limits.max_steps, True
     else:
         n = len(w)
         budget, budget_is_user = sweep_bound(m, n) * max(n, 1) + n + 1, False
-    tape = tuple(map(comp.code.__getitem__, w))
-    if len(tape) >= comp.gate:
-        tape = bytes(tape)
     verdict, row, steps, sweeps = _core(
         comp, tape, budget, budget_is_user, records)
     return RunResult(verdict=verdict, halting_state=comp.states[row // comp.stride],

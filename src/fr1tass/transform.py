@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .exceptions import AlphabetMismatchError, ErasingInputError, ModeError
 from .model import (RESERVED_TOKENS, Machine, Mode, ParseError, _letters_of,
-                    _read_directives, fresh_name, make_machine)
+                    _read_directives, fresh_name, make_machine, named_states)
 
 
 def _reachable_as(sigma, tape, start: str, accepting, move,
@@ -305,11 +305,7 @@ def complement(a: Machine) -> Machine:
     tape = []
     for x in a.tape.letters:
         tape += [mark[x], x]
-    # every state a run can enter counts, declared or not
-    named = {a.start, *a.states}
-    for (q, _), (q2, _) in a.transitions.items():
-        named.update((q, q2))
-    rounds = len(named) + 1
+    rounds = len(named_states(a)) + 1
 
     def move(key):
         """One step, worked out from a's rows on demand.  The copy q.i of

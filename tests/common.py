@@ -3,7 +3,8 @@
 import itertools
 import random
 
-from fr1tass.model import Machine, Mode, OrderedAlphabet, make_machine
+from fr1tass.model import (Machine, Mode, OrderedAlphabet, make_machine,
+                           named_states)
 from fr1tass.simulate import (Halted, HaltReason, RunResult, SweepCase,
                               SweepRecord, Verdict, accepts,
                               initial_configuration, step)
@@ -150,9 +151,7 @@ def reference_run(m, word, max_steps: int = 10**6) -> RunResult:
     cut is certified against the set of sweep-start configurations already
     visited.
     """
-    named = {m.start, *m.states}
-    for (q, _), (q2, _) in m.transitions.items():
-        named.update((q, q2))
+    state_count = len(named_states(m))
     c = initial_configuration(m, word)
     records, visited = [], set()
     prev, unchanged = None, 0
@@ -170,7 +169,7 @@ def reference_run(m, word, max_steps: int = 10**6) -> RunResult:
             records.append(SweepRecord(index=c.sweep_index, start_state=c.state,
                                        start_tape=c.tape, length=len(c.tape),
                                        case=case))
-            if unchanged > len(named):
+            if unchanged > state_count:
                 assert (c.state, c.tape) in visited, "loop cut without a repeat"
                 return RunResult(Verdict.REJECTED_LOOP, c.state, records,
                                  c.steps_taken, c.sweep_index)

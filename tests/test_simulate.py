@@ -156,6 +156,11 @@ def test_word_letters_are_checked():
         run(power_of_two(), ("a", "z"))
     with pytest.raises(ValueError):
         run(power_of_two(), "A")  # working letter, not an input letter
+    # at or above the gate, where the word is coded straight into bytes
+    for w, bad in ((("a",) * 40 + ("A",), "A"), (("a",) * 65 + ("z",), "z")):
+        with pytest.raises(ValueError,
+                           match=f"letter '{bad}' not in the input alphabet"):
+            run(power_of_two(), w)
 
 
 def test_initial_configuration_and_step():
@@ -345,9 +350,11 @@ def test_runs_count_undeclared_states(k, loops):
 
 @pytest.fixture
 def blocks_everywhere(monkeypatch):
-    """Machines compiled under it hold every nonempty tape as bytes when
-    they have a self-loop cell, so the block path runs on short words."""
+    """Machines compiled under it hold every nonempty tape as bytes, and
+    chunk rows step two letters per memo lookup, so block copies and
+    chunk memo hits happen on short words."""
     monkeypatch.setattr(simulate, "_BLOCK_MIN", 1)
+    monkeypatch.setattr(simulate, "_CHUNK", 2)
 
 
 @pytest.fixture
@@ -440,12 +447,21 @@ def limited(m, w, k):
         return str(e)
 
 
+POWER_LENGTHS = (64, 65, 96, 127, 128, 131)
+
+
 @pytest.mark.parametrize("build, word", [
     (balance_ab_et, ("a",) * 40 + ("b",) * 40),
     (center_language, tuple("abbabaabbbabaabababbbbaabababbaaabbbabaaabbbababbaa")),
-], ids=["balance", "center"])
+    *((power_of_two, ("a",) * n) for n in POWER_LENGTHS),
+], ids=["balance", "center", *(f"power_of_two-{n}" for n in POWER_LENGTHS)])
 def test_step_limits_around_block_edges(monkeypatch, build, word):
+    """Every step limit within three steps of a state change and every one
+    up to 2n + 2 on a word of n letters.  On power_of_two, which has no
+    self-loop cell, they fall inside and on the edges of memo chunks, and
+    its odd words stick on a chunk being filled."""
     ks = {k for e in block_edges(build(), word) for k in range(e - 3, e + 4)}
+    ks |= set(range(2 * len(word) + 3))
     got = {}
     for gate in (1, sys.maxsize):
         monkeypatch.setattr(simulate, "_BLOCK_MIN", gate)
@@ -477,9 +493,24 @@ def test_block_path_needs_byte_codes(built_tables, letters, blocks):
     assert bool(built_tables) is blocks
 
 
-def test_loop_free_machines_stay_on_tuples(built_tables):
+def test_loop_free_machines_take_the_bytes_path(built_tables):
     m = power_of_two()
     for n in (64, 96):
         assert run(m, ("a",) * n, RunLimits(trace=True)) == \
             reference_run(m, ("a",) * n)
-    assert not built_tables
+    assert built_tables == [simulate._compile(m)]
+
+
+def test_runs_keep_no_chunk_memo():
+    """The chunk memo lives for one sweep: later runs find the machine
+    and its compiled tables as the first long tape left them."""
+    m = power_of_two()
+    run(m, ("a",) * 64)
+    comp = simulate._compile(m)
+    before = {**vars(m)}, {**vars(comp)}
+    for n in (96, 128, 131):
+        run(m, ("a",) * n)
+    for held, was in zip((vars(m), vars(comp)), before):
+        assert held.keys() == was.keys()
+        assert all(held[k] is v for k, v in was.items())
+    assert comp.blocks[2] == {}  # power_of_two has no block to copy
