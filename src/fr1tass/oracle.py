@@ -36,13 +36,22 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     first sweep kills its whole subtree, and a halting acceptance during
     the first sweep accepts the whole subtree.
 
+    The walk is over a DAG: a finished subtree is filed under (the row its
+    node's first sweep reached, the tape that sweep appended, max_len -
+    depth).  Every word below the node goes on with that first sweep from
+    the same configuration, so the key decides which suffixes are
+    accepted.  A later node with a known key copies the suffixes in the
+    range the subtree's words take in the walk-ordered list of words, with
+    no completion run.  The table is dropped after the first
+    _MEMO_PROBE_RUNS completion runs if no node has found its key.
+
     Completion runs share one verdict table keyed by (state, tape) at every
     sweep boundary they meet.  The machine is deterministic and loop
     detection is exact, so a boundary's verdict is that of the run through
     it, even one met inside a streak of unchanged tapes.  After the first
     _MEMO_PROBE_RUNS completion runs the table is dropped unless more than
-    _MEMO_HIT_SHARE of them ended on a known boundary.  A run's boundaries
-    are filed only if the table then holds at most _MEMO_MAX_KEYS.
+    _MEMO_HIT_SHARE of them ended on a known boundary.  Neither table files
+    keys once it holds _MEMO_MAX_KEYS.
 
     Every completion run is a queue run (simulate._decide), with the table
     or without it.  Each one ends in a verdict: on a freezing machine a run
@@ -52,9 +61,7 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
     comp = _compile(m)
-    accepted: set = set()
-    if m.mode is Mode.ET or m.accepts_empty:
-        accepted.add(())
+    found = [()] if m.mode is Mode.ET or m.accepts_empty else []
     sigma = sorted(m.input_alphabet, key=m.tape.rank)
     codes = [comp.code[a] for a in sigma]
     # the current node's word and what its first sweep wrote
@@ -62,15 +69,23 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     # per node on the path from the root: the row its first sweep reached,
     # the index of its next child letter, and len(appended) at the node
     stack = [(comp.start, 0, 0)]
+    # while the subtree table is kept, per node on the path: its key and
+    # where its words start in found
+    subtrees: Optional[dict] = {}
+    opened = [((comp.start, comp.key_of(appended), max_len), 0)]
     memo: Optional[dict] = {}
     passed: Optional[list] = []
-    runs = hits = 0
+    runs = hits = shared = 0
     while stack:
         row, i, mark = stack[-1]
         depth = len(stack) - 1
         del prefix[depth:], appended[mark:]
         if i == len(sigma) or depth == max_len:
             stack.pop()
+            if subtrees is not None:
+                key, start = opened.pop()
+                if len(subtrees) < _MEMO_MAX_KEYS:
+                    subtrees[key] = slice(start, len(found))
             continue
         stack[-1] = (row, i + 1, mark)
         at = row + codes[i]
@@ -81,28 +96,45 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
             # an accepting state entered during the first sweep
             head = (*prefix, sigma[i])
             for r in range(max_len - depth):
-                accepted.update(head + tail
-                                for tail in itertools.product(sigma, repeat=r))
+                found.extend(head + tail
+                             for tail in itertools.product(sigma, repeat=r))
             continue
         prefix.append(sigma[i])
         if comp.output[at] >= 0:
             appended.append(comp.output[at])
+        if subtrees is not None:
+            # appended as a key, for _decide too; dropped with the table
+            tape = comp.key_of(appended)
+            key = target, tape, max_len - depth - 1
+            span = subtrees.get(key)
+            if span is not None:
+                # the next pass trims prefix and appended back to the parent
+                head = tuple(prefix)
+                found += [head + w[depth + 1:] for w in found[span]]
+                shared += 1
+                continue
+            opened.append((key, len(found)))
         end = len(appended)
         stack.append((target, 0, end))
         # the run appends to appended, which the next pass trims to end
-        verdict, hit = _decide(comp, target, appended, depth + 1, memo, passed)
+        verdict, hit = _decide(comp, target, appended, depth + 1, memo,
+                               passed, tape)
         if memo is not None:
+            # the probe comes while both tables are kept, so runs count here
             hits += hit
             if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
                 for key in passed:
                     memo[key] = verdict
             passed.clear()
             runs += 1
-            if runs == _MEMO_PROBE_RUNS and hits <= _MEMO_HIT_SHARE * runs:
-                memo = passed = None
+            if runs == _MEMO_PROBE_RUNS:
+                if not shared:
+                    subtrees = tape = None
+                if hits <= _MEMO_HIT_SHARE * runs:
+                    memo = passed = None
         if verdict is _ACCEPTED:
-            accepted.add(tuple(prefix))
-    return accepted
+            found.append(tuple(prefix))
+    return set(found)
 
 
 def _enumerate_naive(m: Machine, max_len: int) -> set:

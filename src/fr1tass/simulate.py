@@ -87,6 +87,10 @@ class RunLimits:
     max_steps: Optional[int] = None
     trace: bool = False
 
+    def __post_init__(self):
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError("max_steps must be at least 0")
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -152,7 +156,8 @@ class _Compiled:
     ``-2 - row`` for an accepting row in AS mode; ``output[row + letter]``
     is the letter written, -1 for an erasure.  Tapes of at least ``gate``
     letters are bytes and shorter ones tuples, so the format depends only
-    on the length and equal tapes compare equal."""
+    on the length and equal tapes compare equal.  ``key_of`` makes a key of
+    a list of codes: bytes when every code fits in a byte, else a tuple."""
 
     letters: tuple
     code: dict
@@ -166,6 +171,7 @@ class _Compiled:
     accepts_empty: bool
     state_count: int
     gate: int
+    key_of: type
     blocks: Optional[tuple] = None
 
 
@@ -202,13 +208,15 @@ def _compile(m: Machine) -> _Compiled:
         next_row[at] = target[q2]
         if out is not None:
             output[at] = code[out]
+    narrow = len(letters) <= 256
     object.__setattr__(m, "_compiled", _Compiled(
         letters=letters, code=code,
         input_code={x: code[x] for x in m.input_alphabet}, states=states,
         stride=stride, start=row[m.start], next_row=tuple(next_row),
         output=tuple(output), as_mode=as_mode, accepts_empty=m.accepts_empty,
         state_count=len(states),
-        gate=_BLOCK_MIN if len(letters) <= 256 else sys.maxsize))
+        gate=_BLOCK_MIN if narrow else sys.maxsize,
+        key_of=bytes if narrow else tuple))
     return m._compiled
 
 
@@ -380,10 +388,12 @@ def _core(comp: _Compiled, tape, budget: int, budget_is_user: bool,
 
 
 def _decide(comp: _Compiled, row: int, queue: list, n: int,
-            memo: Optional[dict] = None, passed: Optional[list] = None):
+            memo: Optional[dict] = None, passed: Optional[list] = None,
+            tape=None):
     """(verdict, whether memo gave it) of a run that has taken a step and
     reached row with at most n codes in queue, which it appends to: the
-    run is one pass over queue with no sweep bookkeeping.
+    run is one pass over queue with no sweep bookkeeping.  With a memo,
+    tape is queue as a key (see below) if the caller has built it.
 
     state_count * L steps in a row that each write back the letter they
     read, on a tape of L letters, meet one tape state_count + 1 times, so
@@ -394,13 +404,14 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int,
     file under the final verdict."""
     next_row, output, count = comp.next_row, comp.output, comp.state_count
     write, letters = queue.append, iter(queue)  # letters yields appends too
-    key_of = bytes if len(comp.letters) <= 256 else tuple
+    key_of = comp.key_of
     # a freezing run makes at most n * len(letters) erasures and rewrites,
     # with fewer than count * n steps between two
     budget = (n * len(comp.letters) + 2) * count * n
     i = streak = 0  # steps taken, the last streak of them writing back
     end = len(queue)
-    tape = key_of(queue) if memo is not None else None  # the sweep's tape
+    if memo is not None and tape is None:
+        tape = key_of(queue)  # the sweep's tape
     while i < end:
         if memo is None:
             stop = i + count * n

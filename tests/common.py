@@ -97,6 +97,26 @@ def random_machine(seed: int):
                         accepts_empty=as_mode and rng.random() < 0.3)
 
 
+def census_machines():
+    """Every machine over input and tape {a < b} with states {q0, q1} and
+    start q0 whose cells are each empty, an erasure or a (state, output)
+    pair with output at or below the letter read: 1,225 transition tables,
+    each in ET mode and in AS mode with every nonempty accepting set, for
+    4,900 machines."""
+    states = ("q0", "q1")
+    cells = {x: [None, *((q, out) for q in states for out in (None, *"ab"[:r]))]
+             for r, x in enumerate("ab", 1)}
+    keys = [(q, x) for q in states for x in "ab"]
+    modes = [(Mode.ET, ())] + [(Mode.AS, acc)
+                               for acc in (("q0",), ("q1",), states)]
+    for choice in itertools.product(*(cells[x] for _, x in keys)):
+        transitions = {k: v for k, v in zip(keys, choice) if v is not None}
+        for mode, accepting in modes:
+            yield make_machine(sigma="ab", tape="ab", start="q0",
+                               accepting=accepting, transitions=transitions,
+                               mode=mode, extra_states=states)
+
+
 def undeclared_chain(k: int, loops: bool):
     """A machine declaring only its start state s.  On a, s steps through
     k undeclared states q1 .. qk, writing a back each time; qk then goes

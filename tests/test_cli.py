@@ -122,6 +122,15 @@ def test_run_step_budget(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("word", [[], ["--chars", "aaa"]], ids=["empty", "aaa"])
+def test_run_refuses_negative_step_limit(tmp_path, capsys, word):
+    path = put(tmp_path, "loop.fts", serialize_machine(pure_loop()))
+    assert main(["run", path, *word, "--max-steps", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_steps must be at least 0\n"
+
+
 def test_run_rejects_foreign_letters(power_file, capsys):
     assert main(["run", power_file, "--chars", "ab"]) == 2
     assert capsys.readouterr().err.startswith("error:")

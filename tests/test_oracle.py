@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import (all_a, even_length, pure_loop, random_machine,
-                    stepped_verdict, undeclared_chain, words)
+from common import (all_a, census_machines, even_length, pure_loop,
+                    random_machine, stepped_verdict, undeclared_chain, words)
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
@@ -88,16 +88,19 @@ def test_enumerate_matches_naive_scan_on_random_machines(seed, n_states):
 
 def _table_use(monkeypatch) -> dict:
     """Counts enumerate_accepted's completion runs made with (True) and
-    without (False) the verdict table, and lists under "sizes" how many
-    keys the table held at each run made with it."""
-    used = {True: 0, False: 0, "sizes": []}
+    without (False) the verdict table, and under "keyed" those handed the
+    tape key, which the walk builds only while it keeps the subtree table;
+    lists under "sizes" how many keys the verdict table held at each run
+    made with it."""
+    used = {True: 0, False: 0, "keyed": 0, "sizes": []}
     decide = oracle._decide
 
-    def counted(comp, row, queue, n, memo=None, passed=None):
+    def counted(comp, row, queue, n, memo=None, passed=None, tape=None):
         used[memo is not None] += 1
+        used["keyed"] += tape is not None
         if memo is not None:
             used["sizes"].append(len(memo))
-        return decide(comp, row, queue, n, memo, passed)
+        return decide(comp, row, queue, n, memo, passed, tape)
 
     monkeypatch.setattr(oracle, "_decide", counted)
     return used
@@ -139,6 +142,47 @@ def test_enumerate_verdict_table_stops_filing_at_the_cap(monkeypatch):
     assert enumerate_accepted(m, 10) == _enumerate_naive(m, 10)
     # the table fills up to the cap and stays there, lookups going on
     assert max(sizes) == 64 and sizes.count(64) > 100
+
+
+def test_enumerate_shares_subtrees(monkeypatch):
+    used = _table_use(monkeypatch)
+    # a prefix's parity decides the subtree: two keys per depth
+    assert enumerate_accepted(even_length(), 12) == {
+        w for w in words("ab", 12) if len(w) % 2 == 0}
+    assert used[True] + used[False] <= 2 * 12
+    # the tree walk makes one completion run per word, 8,190 of them
+    used.update({True: 0, False: 0})
+    m = balance_ab_et()
+    assert enumerate_accepted(m, 12) == {w for w in words("ab", 12)
+                                         if is_balanced_ab(w)}
+    assert used[True] + used[False] < 2 ** 13 - 2
+
+
+def test_enumerate_drops_the_subtree_table_at_the_probe(monkeypatch):
+    used = _table_use(monkeypatch)
+    m = center_language()
+    assert enumerate_accepted(m, 12) == {w for w in words("ab", 12)
+                                         if is_center_a(w)}
+    # no key repeats: every word gets its run, and no run after the probe
+    # is handed a key, so the subtree table was dropped there
+    assert used[True] + used[False] == 2 ** 13 - 2
+    assert used["keyed"] == _MEMO_PROBE_RUNS
+
+
+def test_enumerate_census():
+    for m in census_machines():
+        assert enumerate_accepted(m, 5) == _enumerate_naive(m, 5), m
+
+
+def test_enumerate_tape_wider_than_a_byte():
+    # balance_ab_et below 255 working letters: a is code 255 and b 256
+    tape = [f"x{i}" for i in range(255)] + ["a", "b"]
+    m = make_machine(sigma="ab", tape=tape, start="1", accepting=(),
+                     transitions=balance_ab_et().transitions, mode=Mode.ET)
+    assert len(m.tape.letters) == 257
+    got = enumerate_accepted(m, 6)
+    assert got == _enumerate_naive(m, 6)
+    assert got == {w for w in words("ab", 6) if is_balanced_ab(w)}
 
 
 @pytest.mark.parametrize("k", [2, 5, 20])

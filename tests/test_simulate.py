@@ -151,6 +151,14 @@ def test_user_step_limit_raises():
     assert run(power_of_two(), "aaaa", RunLimits(max_steps=8)).accepted
 
 
+@pytest.mark.parametrize("limit", [-1, -5])
+def test_negative_step_limit_is_refused(limit):
+    with pytest.raises(ValueError, match="^max_steps must be at least 0$"):
+        RunLimits(max_steps=limit)
+    # no step at all is a limit the empty word fits inside
+    assert run(power_of_two(), "", RunLimits(max_steps=0)).total_steps == 0
+
+
 def test_word_letters_are_checked():
     with pytest.raises(ValueError):
         run(power_of_two(), ("a", "z"))
