@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
 from .model import Machine, Mode, Word
-from .simulate import _ACCEPTED, _compile, _decide, accepts
+from .simulate import _ACCEPTED, _compile, _core, _decide, accepts
 
 
 # completion runs after which enumerate_accepted keeps its verdict table
@@ -53,10 +53,10 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     _MEMO_HIT_SHARE of them ended on a known boundary.  Neither table files
     keys once it holds _MEMO_MAX_KEYS.
 
-    Every completion run is a queue run (simulate._decide), with the table
-    or without it.  Each one ends in a verdict: on a freezing machine a run
-    that never halts comes to write back every letter it reads, and the
-    queue run's loop cut catches that.
+    A completion run goes on from its first sweep's row and appended tape:
+    by simulate._core while the verdict table is kept or from comp.gate
+    letters on, else as a chunked queue run (simulate._decide).  Both cut
+    the loops of a freezing machine, so every run ends in a verdict.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
@@ -103,8 +103,7 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
         if comp.output[at] >= 0:
             appended.append(comp.output[at])
         if subtrees is not None:
-            # appended as a key, for _decide too; dropped with the table
-            tape = comp.key_of(appended)
+            tape = comp.key_of(appended)  # appended as a key, for _core too
             key = target, tape, max_len - depth - 1
             span = subtrees.get(key)
             if span is not None:
@@ -116,12 +115,17 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
             opened.append((key, len(found)))
         end = len(appended)
         stack.append((target, 0, end))
-        # the run appends to appended, which the next pass trims to end
-        verdict, hit = _decide(comp, target, appended, depth + 1, memo,
-                               passed, tape)
+        if memo is None and end < comp.gate:
+            # the run appends to appended, which the next pass trims to end
+            verdict = _decide(comp, target, appended, depth + 1)
+        else:
+            if subtrees is None:
+                tape = comp.key_of(appended)
+            verdict, last, _, _ = _core(comp, target, tape, depth + 1,
+                                        depth + 1, None, None, memo, passed)
         if memo is not None:
             # the probe comes while both tables are kept, so runs count here
-            hits += hit
+            hits += last is None
             if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
                 for key in passed:
                     memo[key] = verdict
@@ -129,7 +133,7 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
             runs += 1
             if runs == _MEMO_PROBE_RUNS:
                 if not shared:
-                    subtrees = tape = None
+                    subtrees = None
                 if hits <= _MEMO_HIT_SHARE * runs:
                     memo = passed = None
         if verdict is _ACCEPTED:

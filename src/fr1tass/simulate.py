@@ -10,11 +10,15 @@ engine rejects such runs instead of spinning forever.
 
 Freezing bounds how often a letter is rewritten, so long runs spend most
 steps either in cells (q, x) -> (q, y) or cycling through a short period
-of states.  On bytes tapes (see _BLOCK_MIN) a sweep copies each block of
-letters its state loops on in one go, and steps a row that neither has
-such a cell nor leads to one by a memo of _CHUNK-letter chunks, which
-lives for the sweep.  The tables are built on a machine's first bytes
-tape (_block_tables).
+of states.  On bytes tapes of at least _BLOCK_MIN letters a sweep copies
+each block of letters its state loops on in one go, and steps a row that
+neither has such a cell nor leads to one by a memo of _CHUNK-letter
+chunks, which lives for the sweep.  The tables are built on a machine's
+first long tape (_block_tables).
+
+_core steps sweep by sweep from any sweep boundary: every run, and each
+enumeration completion run with a verdict table or a long tape.  _decide
+makes the others, reading the tape as one queue in chunks.
 """
 
 from __future__ import annotations
@@ -147,6 +151,21 @@ def sweep_bound(m: Machine, n: int) -> int:
     return (n + n * (len(comp.letters) - 1) + 1) * (comp.state_count + 1)
 
 
+def _step_budget(comp: _Compiled, n: int) -> int:
+    """Most steps a run on a word of n letters takes to a verdict,
+    sweep_bound(m, n) * max(n, 1) + n + 1.  A letter is only rewritten to
+    a lower one and erased at most once, so a run makes at most
+    n * len(letters) steps that rewrite or erase, and a sweep with none
+    leaves its start tape as it was.  _core, entered at a sweep boundary,
+    cuts a loop at the (state_count + 1)-th unchanged start tape in a row,
+    so it steps at most sweep_bound sweeps of at most n steps from there;
+    n + 1 covers a first sweep before the boundary.  _decide cuts a loop
+    in the first chunk of state_count * n steps that all write back, so
+    it steps at most n * len(letters) + 1 chunks, fewer steps."""
+    return ((n * len(comp.letters) + 1) * (comp.state_count + 1) * (n or 1)
+            + n + 1)
+
+
 @dataclass(frozen=True)
 class _Compiled:
     """A machine's table with letters coded in tape order (then any letter
@@ -154,10 +173,10 @@ class _Compiled:
     index * stride.  ``input_code`` codes the input letters only.
     ``next_row[row + letter]`` is the next row, -1 for no transition and
     ``-2 - row`` for an accepting row in AS mode; ``output[row + letter]``
-    is the letter written, -1 for an erasure.  Tapes of at least ``gate``
-    letters are bytes and shorter ones tuples, so the format depends only
-    on the length and equal tapes compare equal.  ``key_of`` makes a key of
-    a list of codes: bytes when every code fits in a byte, else a tuple."""
+    is the letter written, -1 for an erasure.  ``key_of`` makes the tape,
+    and verdict-table key, of a list of codes: bytes when every code fits
+    in a byte, else a tuple.  Sweeps over at least ``gate`` letters take
+    the block loop, on bytes only."""
 
     letters: tuple
     code: dict
@@ -256,14 +275,24 @@ def _block_tables(comp: _Compiled) -> tuple:
     return comp.blocks
 
 
-def _core(comp: _Compiled, tape, budget: int, budget_is_user: bool,
-          records: Optional[list]):
-    """Run from the start on a coded tape (see _Compiled), one sweep per
-    pass; returns (verdict, row of the last state, steps, sweeps)."""
+def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
+          max_steps: Optional[int], records: Optional[list],
+          memo: Optional[dict] = None, passed: Optional[list] = None):
+    """Run on a word of length letters, one sweep per pass, from row and a
+    coded tape (see _Compiled) after steps steps; returns (verdict, row of
+    the last state, steps, sweeps).  A sweep boundary (row, tape) in memo
+    ends the run with its verdict and row None; passed gets the others."""
     next_row, output, gate = comp.next_row, comp.output, comp.gate
-    row, state_count = comp.start, comp.state_count
-    sweep_index, prev_tape, steps, unchanged = 1, None, 0, 0
+    key_of, state_count = comp.key_of, comp.state_count
+    budget = _step_budget(comp, length) if max_steps is None else max_steps
+    sweep_index, prev_tape, unchanged = 1, None, 0
     while tape:
+        if memo is not None:
+            key = row, tape
+            known = memo.get(key)
+            if known is not None:
+                return known, None, steps, sweep_index
+            passed.append(key)
         n = len(tape)
         # tapes of different lengths compare unequal without a letter read
         unchanged = unchanged + 1 if tape == prev_tape else 0
@@ -297,14 +326,13 @@ def _core(comp: _Compiled, tape, budget: int, budget_is_user: bool,
                     write(out)
                 else:
                     erased += 1
-            after = tuple(written)
         else:
             skip, loops, blocks = comp.blocks or _block_tables(comp)
             floor = -1 - len(skip)  # skip values below it mark self-loop cells
             chunks = floor - len(skip)  # and below this rows with none
             end, view, written = min(n, room), memoryview(tape), bytearray()
             write = written.append
-            memo: dict = {}  # (row, chunk) -> (row after, bytes written)
+            chunk_memo: dict = {}  # (row, chunk) -> (row after, bytes written)
             erased = i = 0
             while True:
                 for c in view[i:end]:
@@ -321,13 +349,13 @@ def _core(comp: _Compiled, tape, budget: int, budget_is_user: bool,
                     break
                 i = len(written) + erased
                 if row < chunks:
-                    # step chunk rows by the memo, filling in what it lacks;
+                    # step chunk rows by chunk_memo, filling in what it lacks;
                     # a chunk row marks every cell, so its first one tells
                     row = chunks - 1 - row
                     while i < end and skip[row] < chunks:
                         j = min(i + _CHUNK, end)
                         key = row, tape[i:j]
-                        hit = memo.get(key)
+                        hit = chunk_memo.get(key)
                         if hit is not None:
                             row, out = hit
                             written += out
@@ -345,7 +373,7 @@ def _core(comp: _Compiled, tape, budget: int, budget_is_user: bool,
                             else:
                                 erased += 1
                         else:
-                            memo[key] = row, bytes(written[before:])
+                            chunk_memo[key] = row, bytes(written[before:])
                             i = j
                             continue
                         break  # a halt, or a self-loop cell copied below
@@ -373,83 +401,56 @@ def _core(comp: _Compiled, tape, budget: int, budget_is_user: bool,
                 else:
                     written += tape[i:j].translate(table, erases)
                 erased, i = j - len(written), j
-            after = bytes(written) if len(written) >= gate else tuple(written)
         if n > room:
-            if budget_is_user:
+            if max_steps is not None:
                 raise LimitExceededError(f"step limit of {budget} exhausted")
             raise RuntimeError("internal step budget exhausted")
         steps += n
         # each sweep consumes its whole start tape, so what it wrote is the next
-        prev_tape, tape = tape, after
+        prev_tape, tape = tape, key_of(written)
         sweep_index += 1
     if comp.as_mode and not (steps == 0 and comp.accepts_empty):
         return _EMPTY, row, steps, sweep_index - 1
     return _ACCEPTED, row, steps, sweep_index - 1
 
 
-def _decide(comp: _Compiled, row: int, queue: list, n: int,
-            memo: Optional[dict] = None, passed: Optional[list] = None,
-            tape=None):
-    """(verdict, whether memo gave it) of a run that has taken a step and
-    reached row with at most n codes in queue, which it appends to: the
-    run is one pass over queue with no sweep bookkeeping.  With a memo,
-    tape is queue as a key (see below) if the caller has built it.
+def _decide(comp: _Compiled, row: int, queue: list, n: int):
+    """Verdict of a run that has taken a step and reached row with at most
+    n codes in queue, which it appends to: the run is one pass over queue
+    with no sweep bookkeeping.
 
     state_count * L steps in a row that each write back the letter they
     read, on a tape of L letters, meet one tape state_count + 1 times, so
     a state repeats and the run is a loop.  This is checked once per chunk
-    of state_count * n steps, or with a memo once per sweep.  Then a sweep
-    boundary (row, tape) found in memo ends the run with its verdict, and
-    every other boundary met is appended to passed, for the caller to
-    file under the final verdict."""
+    of state_count * n steps."""
     next_row, output, count = comp.next_row, comp.output, comp.state_count
     write, letters = queue.append, iter(queue)  # letters yields appends too
-    key_of = comp.key_of
-    # a freezing run makes at most n * len(letters) erasures and rewrites,
-    # with fewer than count * n steps between two
-    budget = (n * len(comp.letters) + 2) * count * n
     i = streak = 0  # steps taken, the last streak of them writing back
     end = len(queue)
-    if memo is not None and tape is None:
-        tape = key_of(queue)  # the sweep's tape
     while i < end:
-        if memo is None:
-            stop = i + count * n
-            span = islice(letters, count * n)
-        else:
-            key = (row, tape)
-            known = memo.get(key)
-            if known is not None:
-                return known, True
-            passed.append(key)
-            span, stop = tape, end
-        for c in span:
+        stop = i + count * n
+        for c in islice(letters, count * n):
             at = row + c
             row = next_row[at]
             if row < 0:
-                return (_STUCK if row == -1 else _ACCEPTED), False
+                return _STUCK if row == -1 else _ACCEPTED
             out = output[at]
             if out >= 0:
                 write(out)
         top = len(queue)
         if top <= stop:
             break
-        if memo is None:
-            # with no erasure, step i + j wrote queue[end + j]
-            same = top - end == stop - i and queue[i:stop] == queue[end:]
-        else:
-            prev, tape = tape, key_of(queue[end:])
-            same = tape == prev
-        if same:
+        # with no erasure, step i + j wrote queue[end + j]
+        if top - end == stop - i and queue[i:stop] == queue[end:]:
             streak += stop - i
             if streak >= count * (top - stop):
-                return _LOOP, False
-        elif stop > budget:
+                return _LOOP
+        elif stop > _step_budget(comp, n):
             raise RuntimeError("internal step budget exhausted")
         else:
             streak = 0
         i, end = stop, top
-    return (_EMPTY if comp.as_mode else _ACCEPTED), False
+    return _EMPTY if comp.as_mode else _ACCEPTED
 
 
 def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> RunResult:
@@ -458,19 +459,13 @@ def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> 
     w = tuple(word)
     codes = map(comp.input_code.__getitem__, w)
     try:
-        # checked and coded in one pass
-        tape = bytes(codes) if len(w) >= comp.gate else tuple(codes)
+        tape = comp.key_of(codes)  # checked and coded in one pass
     except KeyError:
         _check_word(m, w)  # raises, naming the first letter not in the input
         raise
     records: Optional[list] = [] if limits.trace else None
-    if limits.max_steps is not None:
-        budget, budget_is_user = limits.max_steps, True
-    else:
-        n = len(w)
-        budget, budget_is_user = sweep_bound(m, n) * max(n, 1) + n + 1, False
     verdict, row, steps, sweeps = _core(
-        comp, tape, budget, budget_is_user, records)
+        comp, comp.start, tape, 0, len(w), limits.max_steps, records)
     return RunResult(verdict=verdict, halting_state=comp.states[row // comp.stride],
                      sweeps=records, total_steps=steps, total_sweeps=sweeps)
 

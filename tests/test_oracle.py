@@ -1,5 +1,7 @@
 """Enumeration, comparison, predicates, and the unary classifier."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,21 +90,28 @@ def test_enumerate_matches_naive_scan_on_random_machines(seed, n_states):
 
 def _table_use(monkeypatch) -> dict:
     """Counts enumerate_accepted's completion runs made with (True) and
-    without (False) the verdict table, and under "keyed" those handed the
-    tape key, which the walk builds only while it keeps the subtree table;
+    without (False) the verdict table, by _core or _decide, and under
+    "keyed" those made by _core, which the walk hands the tape as a key;
     lists under "sizes" how many keys the verdict table held at each run
     made with it."""
     used = {True: 0, False: 0, "keyed": 0, "sizes": []}
-    decide = oracle._decide
+    core, decide = oracle._core, oracle._decide
 
-    def counted(comp, row, queue, n, memo=None, passed=None, tape=None):
+    def counted_core(comp, row, tape, steps, length, max_steps, records,
+                     memo=None, passed=None):
         used[memo is not None] += 1
-        used["keyed"] += tape is not None
+        used["keyed"] += 1
         if memo is not None:
             used["sizes"].append(len(memo))
-        return decide(comp, row, queue, n, memo, passed, tape)
+        return core(comp, row, tape, steps, length, max_steps, records, memo,
+                    passed)
 
-    monkeypatch.setattr(oracle, "_decide", counted)
+    def counted_decide(comp, row, queue, n):
+        used[False] += 1
+        return decide(comp, row, queue, n)
+
+    monkeypatch.setattr(oracle, "_core", counted_core)
+    monkeypatch.setattr(oracle, "_decide", counted_decide)
     return used
 
 
@@ -161,17 +170,40 @@ def test_enumerate_shares_subtrees(monkeypatch):
 def test_enumerate_drops_the_subtree_table_at_the_probe(monkeypatch):
     used = _table_use(monkeypatch)
     m = center_language()
+    comp = simulate._compile(m)
+    walk_keys = []  # keys the walk makes itself, not inside a run
+
+    def key_of(codes, make=comp.key_of):
+        caller = sys._getframe(1).f_code
+        walk_keys.append(caller is enumerate_accepted.__code__)
+        return make(codes)
+
+    object.__setattr__(comp, "key_of", key_of)
     assert enumerate_accepted(m, 12) == {w for w in words("ab", 12)
                                          if is_center_a(w)}
     # no key repeats: every word gets its run, and no run after the probe
-    # is handed a key, so the subtree table was dropped there
+    # is handed a key, so neither table was kept there
     assert used[True] + used[False] == 2 ** 13 - 2
     assert used["keyed"] == _MEMO_PROBE_RUNS
+    # the walk keys the root and each node up to the probe, and no later one
+    assert sum(walk_keys) == 1 + _MEMO_PROBE_RUNS
 
 
 def test_enumerate_census():
     for m in census_machines():
         assert enumerate_accepted(m, 5) == _enumerate_naive(m, 5), m
+
+
+def test_enumerate_census_with_blocks_everywhere(monkeypatch):
+    # every nonempty tape takes _core's block loop, and past a probe of 8
+    # runs some machines keep the verdict table and some drop it, so table
+    # runs and long runs without it both copy blocks and step chunks
+    monkeypatch.setattr(simulate, "_BLOCK_MIN", 1)
+    monkeypatch.setattr(simulate, "_CHUNK", 2)
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
+    used = _table_use(monkeypatch)
+    test_enumerate_census()
+    assert used["keyed"] > used[True] > 0  # some long runs had no table
 
 
 def test_enumerate_tape_wider_than_a_byte():
@@ -209,6 +241,26 @@ def test_enumerate_past_the_block_gate():
     got = enumerate_accepted(m, 2 * simulate._BLOCK_MIN)
     assert got == _enumerate_naive(m, 2 * simulate._BLOCK_MIN)
     assert got == {("a",) * n for n in range(0, 2 * simulate._BLOCK_MIN + 1, 3)}
+
+
+@pytest.mark.parametrize("probe", [8, 10 ** 9])
+def test_enumerate_unary_past_the_block_gate(monkeypatch, probe):
+    """Completion runs from 2 * _BLOCK_MIN letters down take _core's block
+    loop, with the verdict table throughout or after the probe dropped it."""
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", probe)
+    used = _table_use(monkeypatch)
+    n = 2 * simulate._BLOCK_MIN
+    machines = [m for m in map(random_machine, range(200))
+                if len(m.input_alphabet) == 1]
+    machines += [random_unary_noaux(seed, k)
+                 for seed in range(10) for k in (2, 3, 4)]
+    machines += [power_of_two(), mod_three()]  # not constant on long words
+    for m in machines:
+        assert enumerate_accepted(m, n) == _enumerate_naive(m, n), m
+    if probe > n:
+        assert used[False] == 0
+    else:
+        assert used["keyed"] > used[True]  # long runs without the table
 
 
 def test_enumerate_verdict_table_on_random_general_machines(monkeypatch):

@@ -164,7 +164,7 @@ def test_word_letters_are_checked():
         run(power_of_two(), ("a", "z"))
     with pytest.raises(ValueError):
         run(power_of_two(), "A")  # working letter, not an input letter
-    # at or above the gate, where the word is coded straight into bytes
+    # at or above the gate too, where the run takes the block loop
     for w, bad in ((("a",) * 40 + ("A",), "A"), (("a",) * 65 + ("z",), "z")):
         with pytest.raises(ValueError,
                            match=f"letter '{bad}' not in the input alphabet"):
@@ -307,7 +307,7 @@ def test_run_on_letters_off_the_tape():
 
 def assert_decide_matches_run(m, max_len):
     """_decide from the start of each nonempty word gives run's verdict,
-    without a verdict table and with one that all the words share."""
+    and so does _core with a verdict table that all the words share."""
     comp = simulate._compile(m)
     memo = {}
     for w in words(sorted(m.input_alphabet), max_len):
@@ -315,14 +315,16 @@ def assert_decide_matches_run(m, max_len):
             continue  # a queue run has taken a step; the empty word takes none
         expected = run(m, w).verdict
         codes = [comp.code[x] for x in w]
-        assert simulate._decide(comp, comp.start, list(codes), len(w)) == (
-            expected, False), w
+        got = simulate._decide(comp, comp.start, list(codes), len(w))
+        assert got is expected, w
         passed = []
-        verdict, hit = simulate._decide(comp, comp.start, list(codes), len(w),
-                                        memo, passed)
+        verdict, row, _, _ = simulate._core(
+            comp, comp.start, comp.key_of(codes), 0, len(w), None, None, memo,
+            passed)
         assert verdict is expected, w
-        if not hit:
-            # the first boundary met is the start, keyed with a bytes tape
+        if row is not None:
+            # the table did not give it: the first boundary met is the
+            # start, keyed with a bytes tape
             assert passed[0] == (comp.start, bytes(codes)), w
         for key in passed:
             memo[key] = verdict
@@ -358,9 +360,9 @@ def test_runs_count_undeclared_states(k, loops):
 
 @pytest.fixture
 def blocks_everywhere(monkeypatch):
-    """Machines compiled under it hold every nonempty tape as bytes, and
-    chunk rows step two letters per memo lookup, so block copies and
-    chunk memo hits happen on short words."""
+    """Machines compiled under it step every nonempty tape in the block
+    loop, and chunk rows step two letters per memo lookup, so block copies
+    and chunk memo hits happen on short words."""
     monkeypatch.setattr(simulate, "_BLOCK_MIN", 1)
     monkeypatch.setattr(simulate, "_CHUNK", 2)
 
@@ -368,7 +370,7 @@ def blocks_everywhere(monkeypatch):
 @pytest.fixture
 def built_tables(monkeypatch) -> list:
     """The compiled machines whose block tables a run builds, which it
-    does on its first sweep over a bytes tape."""
+    does on its first sweep in the block loop."""
     built = []
     tables = simulate._block_tables
     monkeypatch.setattr(simulate, "_block_tables",
@@ -419,7 +421,7 @@ def test_long_words_match_step_reference_on_gallery():
 def test_long_words_match_step_reference_on_random_machines(monkeypatch):
     # a gate inside the word lengths, so that runs cross it
     monkeypatch.setattr(simulate, "_BLOCK_MIN", 32)
-    crossed = loops_after = loops_on_bytes = 0
+    crossed = loops_after = loops_above = 0
     for seed in range(100):
         m = random_machine(seed)
         if not m.input_alphabet:
@@ -432,9 +434,9 @@ def test_long_words_match_step_reference_on_random_machines(monkeypatch):
             below = lengths[-1] < 32
             crossed += below
             loops_after += looped and below
-            loops_on_bytes += looped and not below
+            loops_above += looped and not below
     # runs that shrink below the gate, and loops cut on either side of it
-    assert crossed and loops_after and loops_on_bytes
+    assert crossed and loops_after and loops_above
 
 
 def block_edges(m, w) -> set:
