@@ -121,8 +121,8 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
         else:
             if subtrees is None:
                 tape = comp.key_of(appended)
-            verdict, last, _, _ = _core(comp, target, tape, depth + 1,
-                                        depth + 1, None, None, memo, passed)
+            verdict, last, _, _, _ = _core(comp, target, tape, depth + 1,
+                                           depth + 1, None, None, memo, passed)
         if memo is not None:
             # the probe comes while both tables are kept, so runs count here
             hits += last is None

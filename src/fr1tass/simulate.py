@@ -4,9 +4,11 @@ A run proceeds in sweeps.  Sweep i consumes exactly the r_i letters present
 on the tape when the sweep starts; outputs appended during the sweep belong
 to sweep i+1.  Because every step consumes one letter and writes at most
 one, the tape never grows, so each sweep start can be compared against the
-previous one.  A long enough run of unchanged sweep-start tapes forces a
-state to repeat on identical tapes, which proves the run is circling; the
-engine rejects such runs instead of spinning forever.
+previous one.  A run is cut as a loop at the (state_count + 1)-th
+unchanged sweep-start tape in a row: by then a state has repeated on
+identical tapes, which proves the run is circling.  The engine stops at
+the first such repeat, whose period it knows, and works out the cut's
+state, steps, sweeps and records from there instead of stepping to it.
 
 Freezing bounds how often a letter is rewritten, so long runs spend most
 steps either in cells (q, x) -> (q, y) or cycling through a short period
@@ -98,11 +100,16 @@ class RunLimits:
 
 @dataclass(frozen=True)
 class RunResult:
+    """The verdict of a run and where it ended.  ``loop_start`` certifies a
+    RejectedLoop verdict: the (sweep index, state) of the sweep-start
+    configuration that the run met again; None for other verdicts."""
+
     verdict: Verdict
     halting_state: str
     sweeps: Optional[list]
     total_steps: int
     total_sweeps: int
+    loop_start: Optional[tuple] = None
 
     @property
     def accepted(self) -> bool:
@@ -157,11 +164,14 @@ def _step_budget(comp: _Compiled, n: int) -> int:
     a lower one and erased at most once, so a run makes at most
     n * len(letters) steps that rewrite or erase, and a sweep with none
     leaves its start tape as it was.  _core, entered at a sweep boundary,
-    cuts a loop at the (state_count + 1)-th unchanged start tape in a row,
-    so it steps at most sweep_bound sweeps of at most n steps from there;
-    n + 1 covers a first sweep before the boundary.  _decide cuts a loop
-    in the first chunk of state_count * n steps that all write back, so
-    it steps at most n * len(letters) + 1 chunks, fewer steps."""
+    counts a loop as cut at the (state_count + 1)-th unchanged start tape
+    in a row, so it counts at most sweep_bound sweeps of at most n steps
+    from there, and steps fewer; n + 1 covers a first sweep before the
+    boundary.  It works the budget out only once a sweep could pass
+    (state_count + 1) * (n + 1) * n steps, a lower bound of it for n >= 1.
+    _decide cuts a loop in the first chunk of state_count * n steps that
+    all write back, so it steps at most n * len(letters) + 1 chunks, fewer
+    steps."""
     return ((n * len(comp.letters) + 1) * (comp.state_count + 1) * (n or 1)
             + n + 1)
 
@@ -280,35 +290,68 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
           memo: Optional[dict] = None, passed: Optional[list] = None):
     """Run on a word of length letters, one sweep per pass, from row and a
     coded tape (see _Compiled) after steps steps; returns (verdict, row of
-    the last state, steps, sweeps).  A sweep boundary (row, tape) in memo
-    ends the run with its verdict and row None; passed gets the others."""
+    the last state, steps, sweeps, loop).  A sweep boundary (row, tape) in
+    memo ends the run with its verdict and row None; passed gets the others.
+
+    first and later hold the rows of the current streak of unchanged
+    sweep-start tapes, seen = (first, *later).  When a row comes back,
+    (row, tape) has repeated and the rows go round seen[a:] for good, with
+    period p = len(seen) - a.  The run stops there and reports the cut at
+    the (state_count + 1)-th unchanged tape in a row, k sweeps of n steps
+    on: row seen[a + k % p], with the k records a trace would have met.
+    loop is (sweep index, row) of the repeated boundary's first visit for
+    a loop verdict, else None."""
     next_row, output, gate = comp.next_row, comp.output, comp.gate
     key_of, state_count = comp.key_of, comp.state_count
-    budget = _step_budget(comp, length) if max_steps is None else max_steps
-    sweep_index, prev_tape, unchanged = 1, None, 0
+    # a lower bound of _step_budget, worked out only when a sweep could
+    # pass it
+    budget = ((state_count + 1) * (length + 1) * length if max_steps is None
+              else max_steps)
+    sweep_index, prev_tape = 1, None
     while tape:
         if memo is not None:
             key = row, tape
             known = memo.get(key)
             if known is not None:
-                return known, None, steps, sweep_index
+                return known, None, steps, sweep_index, None
             passed.append(key)
         n = len(tape)
         # tapes of different lengths compare unequal without a letter read
-        unchanged = unchanged + 1 if tape == prev_tape else 0
+        same = tape == prev_tape
         if records is not None:
             case = (None if sweep_index == 1 else
-                    SweepCase.UNCHANGED if unchanged else
+                    SweepCase.UNCHANGED if same else
                     SweepCase.SHRUNK if n < len(prev_tape) else
                     SweepCase.REWROTE)
             records.append(SweepRecord(
                 index=sweep_index, start_state=comp.states[row // comp.stride],
                 start_tape=tuple(comp.letters[c] for c in tape),
                 length=n, case=case))
-        if unchanged > state_count:
-            # state must have repeated on identical sweep-start tapes
-            return _LOOP, row, steps, sweep_index
+        if not same:
+            first, later = row, ()  # a new streak allocates nothing
+        elif row != first and row not in later:
+            later += row,
+        else:
+            seen = first, *later
+            a = seen.index(row)
+            p, k = len(seen) - a, state_count + 1 - len(seen)
+            steps += k * n
+            if steps > budget and (max_steps is not None
+                                   or steps > _step_budget(comp, length)):
+                _exhausted(max_steps)
+            if records is not None:
+                start_tape = records[-1].start_tape
+                records += [SweepRecord(
+                    index=sweep_index + j,
+                    start_state=comp.states[seen[a + j % p] // comp.stride],
+                    start_tape=start_tape, length=n,
+                    case=SweepCase.UNCHANGED) for j in range(1, k + 1)]
+            return (_LOOP, seen[a + k % p], steps, sweep_index + k,
+                    (sweep_index - p, row))
         room = budget - steps
+        if n > room and max_steps is None:
+            budget = _step_budget(comp, length)
+            room = budget - steps
         if n < gate:
             written: list = []
             write = written.append
@@ -319,8 +362,8 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
                 if row < 0:
                     steps += len(written) + erased
                     if row == -1:
-                        return _STUCK, at - c, steps, sweep_index
-                    return _ACCEPTED, -2 - row, steps + 1, sweep_index
+                        return _STUCK, at - c, steps, sweep_index, None
+                    return _ACCEPTED, -2 - row, steps + 1, sweep_index, None
                 out = output[at]
                 if out >= 0:
                     write(out)
@@ -383,8 +426,8 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
                 if row >= floor:
                     steps += len(written) + erased
                     if row == -1:
-                        return _STUCK, at - c, steps, sweep_index
-                    return _ACCEPTED, -2 - row, steps + 1, sweep_index
+                        return _STUCK, at - c, steps, sweep_index, None
+                    return _ACCEPTED, -2 - row, steps + 1, sweep_index, None
                 # copy the whole block this row loops on in one go
                 row = floor - 1 - row
                 ends, table, erases = blocks[row]
@@ -402,16 +445,21 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
                     written += tape[i:j].translate(table, erases)
                 erased, i = j - len(written), j
         if n > room:
-            if max_steps is not None:
-                raise LimitExceededError(f"step limit of {budget} exhausted")
-            raise RuntimeError("internal step budget exhausted")
+            _exhausted(max_steps)
         steps += n
         # each sweep consumes its whole start tape, so what it wrote is the next
         prev_tape, tape = tape, key_of(written)
         sweep_index += 1
     if comp.as_mode and not (steps == 0 and comp.accepts_empty):
-        return _EMPTY, row, steps, sweep_index - 1
-    return _ACCEPTED, row, steps, sweep_index - 1
+        return _EMPTY, row, steps, sweep_index - 1, None
+    return _ACCEPTED, row, steps, sweep_index - 1, None
+
+
+def _exhausted(max_steps: Optional[int]):
+    """Raise the error of a run that would pass its step budget."""
+    if max_steps is not None:
+        raise LimitExceededError(f"step limit of {max_steps} exhausted")
+    raise RuntimeError("internal step budget exhausted")
 
 
 def _decide(comp: _Compiled, row: int, queue: list, n: int):
@@ -464,10 +512,13 @@ def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> 
         _check_word(m, w)  # raises, naming the first letter not in the input
         raise
     records: Optional[list] = [] if limits.trace else None
-    verdict, row, steps, sweeps = _core(
+    verdict, row, steps, sweeps, loop = _core(
         comp, comp.start, tape, 0, len(w), limits.max_steps, records)
+    if loop is not None:
+        loop = loop[0], comp.states[loop[1] // comp.stride]
     return RunResult(verdict=verdict, halting_state=comp.states[row // comp.stride],
-                     sweeps=records, total_steps=steps, total_sweeps=sweeps)
+                     sweeps=records, total_steps=steps, total_sweeps=sweeps,
+                     loop_start=loop)
 
 
 def accepts(m: Machine, word: Iterable[str]) -> bool:

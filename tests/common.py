@@ -141,6 +141,17 @@ def undeclared_et_pair():
                                               ("q1", "a"): ("s", None)})
 
 
+def flip_flop():
+    """An ET machine that is not freezing: s erases a and swaps b and the
+    working letter c above it.  So once a word's a's are gone its tape
+    flips between two words, and only a step budget ends the run."""
+    return make_machine(sigma="ab", tape="abc", start="s", accepting=(),
+                        transitions={("s", "a"): ("s", None),
+                                     ("s", "b"): ("s", "c"),
+                                     ("s", "c"): ("s", "b")},
+                        mode=Mode.ET)
+
+
 def stepped_verdict(m, word) -> Verdict:
     """The verdict of m on word by single steps; a configuration met twice
     is a loop.  It counts no states, so it also holds for machines whose
@@ -168,12 +179,13 @@ def reference_run(m, word, max_steps: int = 10**6) -> RunResult:
 
     Loops are cut by the engine's rule: more unchanged sweep-start tapes in
     a row than there are states, declared or named by a transition.  Each
-    cut is certified against the set of sweep-start configurations already
-    visited.
+    cut is certified against the sweep-start configurations already
+    visited, and its loop_start is the sweep index and state of the first
+    one the run met again.
     """
     state_count = len(named_states(m))
     c = initial_configuration(m, word)
-    records, visited = [], set()
+    records, visited, loop_start = [], {}, None
     prev, unchanged = None, 0
     while c.steps_taken < max_steps:
         if c.steps_into_sweep == 0 and c.tape:
@@ -189,11 +201,14 @@ def reference_run(m, word, max_steps: int = 10**6) -> RunResult:
             records.append(SweepRecord(index=c.sweep_index, start_state=c.state,
                                        start_tape=c.tape, length=len(c.tape),
                                        case=case))
+            key = c.state, c.tape
+            if loop_start is None and key in visited:
+                loop_start = visited[key], c.state
             if unchanged > state_count:
-                assert (c.state, c.tape) in visited, "loop cut without a repeat"
+                assert key in visited, "loop cut without a repeat"
                 return RunResult(Verdict.REJECTED_LOOP, c.state, records,
-                                 c.steps_taken, c.sweep_index)
-            visited.add((c.state, c.tape))
+                                 c.steps_taken, c.sweep_index, loop_start)
+            visited.setdefault(key, c.sweep_index)
             prev = c.tape
         nxt = step(m, c)
         if isinstance(nxt, Halted):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import (all_a, census_machines, even_length, pure_loop,
-                    random_machine, stepped_verdict, undeclared_chain, words)
+from common import (all_a, census_machines, even_length, flip_flop,
+                    pure_loop, random_machine, stepped_verdict,
+                    undeclared_chain, words)
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
@@ -23,7 +24,7 @@ from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
 from fr1tass.pcp import (PcpInstance, encode_pcp_candidate,
                          pcp_solution_encoding)
 from fr1tass.simulate import Verdict, accepts
-from fr1tass.transform import et_to_as
+from fr1tass.transform import as_to_et, et_to_as
 
 INSTANCE = PcpInstance(u_words=("a", "ab"), v_words=("aa", "b"),
                        base_alphabet=("a", "b"))
@@ -93,8 +94,9 @@ def _table_use(monkeypatch) -> dict:
     without (False) the verdict table, by _core or _decide, and under
     "keyed" those made by _core, which the walk hands the tape as a key;
     lists under "sizes" how many keys the verdict table held at each run
-    made with it."""
-    used = {True: 0, False: 0, "keyed": 0, "sizes": []}
+    made with it, and under "hits" how many of those ended on a boundary
+    the table knew."""
+    used = {True: 0, False: 0, "keyed": 0, "sizes": [], "hits": 0}
     core, decide = oracle._core, oracle._decide
 
     def counted_core(comp, row, tape, steps, length, max_steps, records,
@@ -103,8 +105,10 @@ def _table_use(monkeypatch) -> dict:
         used["keyed"] += 1
         if memo is not None:
             used["sizes"].append(len(memo))
-        return core(comp, row, tape, steps, length, max_steps, records, memo,
-                    passed)
+        result = core(comp, row, tape, steps, length, max_steps, records,
+                      memo, passed)
+        used["hits"] += result[1] is None
+        return result
 
     def counted_decide(comp, row, queue, n):
         used[False] += 1
@@ -278,6 +282,35 @@ def test_enumerate_verdict_table_on_random_general_machines(monkeypatch):
         elif used[True] - before[True] > _MEMO_PROBE_RUNS:
             kept += 1
     assert kept and dropped  # both sides of the probe were checked
+
+
+@pytest.mark.parametrize("build, runs, hits", [
+    (balance_ab_et, 1580, 1533),
+    (lambda: et_to_as(balance_ab_et()), 8190, 6842),
+    (lambda: as_to_et(et_to_as(balance_ab_et())), 8190, 6853),
+], ids=["balance_ab_et", "et_to_as", "as_to_et_et_to_as"])
+def test_enumerate_verdict_table_hits_at_twelve(monkeypatch, build, runs, hits):
+    """Loop runs end at their first repeated sweep boundary, which files
+    the same keys as running on to the cut: the routing and hits hold."""
+    used = _table_use(monkeypatch)
+    assert enumerate_accepted(build(), 12) == {
+        w for w in words("ab", 12) if is_balanced_ab(w)}
+    assert (used[True], used[False], used["hits"]) == (runs, 0, hits)
+
+
+@pytest.mark.parametrize("probe", [_MEMO_PROBE_RUNS, 1],
+                         ids=["table_run", "queue_run"])
+def test_enumerate_of_a_machine_that_is_not_freezing_hits_the_budget(
+        monkeypatch, probe):
+    # a is accepted in a table run, which with a probe of one run drops
+    # the table; ab then flips b and c forever, by _core or by _decide
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", probe)
+    with pytest.raises(RuntimeError,
+                       match="^internal step budget exhausted$") as info:
+        enumerate_accepted(flip_flop(), 2)
+    frames = {entry.name for entry in info.traceback}
+    assert ("_decide" in frames) is (probe == 1)
+    assert ("_core" in frames) is (probe > 1)
 
 
 # --------------------------------------------------------------- comparison

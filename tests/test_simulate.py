@@ -2,21 +2,24 @@
 
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import (all_a, pure_loop, random_machine, reference_run,
-                    run_language, stepped_verdict, undeclared_chain, words)
+from common import (all_a, census_machines, flip_flop, pure_loop,
+                    random_machine, reference_run, run_language,
+                    stepped_verdict, undeclared_chain, words)
 from fr1tass import simulate
 from fr1tass.exceptions import LimitExceededError
 from fr1tass.gallery import (GALLERY, balance_ab_et, center_language,
                              marked_copy, power_of_two, random_unary_noaux)
 from fr1tass.model import Mode, make_machine, validate
 from fr1tass.simulate import (Configuration, Halted, HaltReason, RunLimits,
-                              SweepCase, Verdict, accepts, flatten_trace,
-                              initial_configuration, run, step, sweep_bound)
+                              RunResult, SweepCase, Verdict, accepts,
+                              flatten_trace, initial_configuration, run, step,
+                              sweep_bound)
 
 
 def test_reference_run_accepts_four():
@@ -115,6 +118,68 @@ def test_sweep_cases_and_loop_cut_in_order(monkeypatch, gate):
     assert result.verdict is Verdict.REJECTED_LOOP
     assert (result.total_sweeps, result.total_steps) == (6, 11)
     assert result == reference_run(m, "aaa")
+
+
+def circle(extra: int = 0):
+    """States p and r each lead into q1 -> q2 -> q1 on a, writing a back;
+    q1 and q2 erase b on their way to r.  So on a^3 the sweeps start in p,
+    q1, q2, q1, and on a^3 b the tape shrinks to a^3 and they start in p,
+    r, q1, q2, q1: a streak of unchanged tapes whose rows repeat with
+    period 2 after one row.  extra unreachable states put the cut further
+    on."""
+    return make_machine(
+        sigma="ab", tape="ab", start="p", accepting=(), mode=Mode.ET,
+        extra_states=[f"z{i}" for i in range(extra)],
+        transitions={("p", "a"): ("q1", "a"), ("r", "a"): ("q1", "a"),
+                     ("q1", "a"): ("q2", "a"), ("q2", "a"): ("q1", "a"),
+                     ("q1", "b"): ("r", None), ("q2", "b"): ("r", None)})
+
+
+def assert_cut_matches_reference(m, w) -> RunResult:
+    """The run of m on w, traced or not, against the step reference; a
+    loop verdict also against step limits one short of it and at it."""
+    expected = reference_run(m, w)
+    result = run(m, w, RunLimits(trace=True))
+    assert result == expected, w
+    assert run(m, w) == replace(expected, sweeps=None), w
+    assert (result.loop_start is None) is (
+        result.verdict is not Verdict.REJECTED_LOOP), w
+    if result.verdict is Verdict.REJECTED_LOOP:
+        steps = result.total_steps
+        with pytest.raises(LimitExceededError):
+            run(m, w, RunLimits(max_steps=steps - 1, trace=True))
+        assert run(m, w, RunLimits(max_steps=steps, trace=True)) == expected
+    return result
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_loop_cut_after_a_pre_period(extra):
+    m = circle(extra)
+    cut = 4 + extra + 1  # unchanged tapes in a row at the cut
+    # the rows repeat at sweep 4, two sweeps after q1 first came
+    result = assert_cut_matches_reference(m, "aaa")
+    assert result.loop_start == (2, "q1")
+    assert result.total_sweeps == 1 + cut
+    assert result.halting_state == ("q2", "q1")[cut % 2]
+    # the streak starts on the shrunk tape, in r
+    result = assert_cut_matches_reference(m, "aaab")
+    assert [r.case for r in result.sweeps[:3]] == [
+        None, SweepCase.SHRUNK, SweepCase.UNCHANGED]
+    assert result.loop_start == (3, "q1")
+    assert result.total_sweeps == 2 + cut
+    assert result.total_steps == 4 + 3 * cut
+    for w in words("ab", 6):
+        assert_cut_matches_reference(m, w)
+
+
+def test_loop_cut_on_the_census():
+    loops = 0
+    for m in census_machines():
+        if m.mode is Mode.ET:
+            for w in words("ab", 4):
+                result = assert_cut_matches_reference(m, w)
+                loops += result.verdict is Verdict.REJECTED_LOOP
+    assert loops > 5000
 
 
 def test_balance_rejects_lone_b_as_loop():
@@ -318,7 +383,7 @@ def assert_decide_matches_run(m, max_len):
         got = simulate._decide(comp, comp.start, list(codes), len(w))
         assert got is expected, w
         passed = []
-        verdict, row, _, _ = simulate._core(
+        verdict, row, _, _, _ = simulate._core(
             comp, comp.start, comp.key_of(codes), 0, len(w), None, None, memo,
             passed)
         assert verdict is expected, w
@@ -524,3 +589,44 @@ def test_runs_keep_no_chunk_memo():
         assert held.keys() == was.keys()
         assert all(held[k] is v for k, v in was.items())
     assert comp.blocks[2] == {}  # power_of_two has no block to copy
+
+
+# ------------------------------------------- internal step budget safety net
+
+@pytest.mark.parametrize("n", [1, 2, simulate._BLOCK_MIN, 40])
+def test_run_of_a_machine_that_is_not_freezing_hits_the_budget(built_tables, n):
+    m = flip_flop()
+    assert validate(m) != []
+    with pytest.raises(RuntimeError, match="^internal step budget exhausted$"):
+        run(m, "b" * n)
+    # from the gate on the sweeps copied the tape as one block
+    assert bool(built_tables) is (n >= simulate._BLOCK_MIN)
+
+
+def test_runs_work_out_the_internal_budget_only_near_it(monkeypatch):
+    calls = []
+    budget = simulate._step_budget
+    monkeypatch.setattr(simulate, "_step_budget",
+                        lambda comp, n: calls.append(n) or budget(comp, n))
+    for build in GALLERY.values():
+        m = build()
+        for w in words(sorted(m.input_alphabet), 6):
+            run(m, w)
+    assert calls == []
+    # counting one letter down a rank per sweep, a freezing run passes the
+    # cheap bound that stands in for the budget, and works the budget out
+    tape = [f"L{i}" for i in range(10)]
+    countdown = make_machine(
+        sigma=tape[-1:], tape=tape, start="s", accepting=(), mode=Mode.ET,
+        transitions={("s", x): ("s", tape[i - 1] if i else None)
+                     for i, x in enumerate(tape)})
+    assert validate(countdown) == []
+    result = run(countdown, tape[-1:], RunLimits(trace=True))
+    assert result == reference_run(countdown, tape[-1:])
+    assert (result.verdict, result.total_sweeps) == (Verdict.ACCEPTED, 10)
+    assert calls == [1]
+    # and so does the safety net
+    calls.clear()
+    with pytest.raises(RuntimeError):
+        run(flip_flop(), "bb")
+    assert calls and set(calls) == {2}
