@@ -75,6 +75,7 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     opened = [((comp.start, comp.key_of(appended), max_len), 0)]
     memo: Optional[dict] = {}
     passed: Optional[list] = []
+    chunk_memo: dict = {}  # for _core's block loop, shared by every run
     runs = hits = shared = 0
     while stack:
         row, i, mark = stack[-1]
@@ -122,7 +123,8 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
             if subtrees is None:
                 tape = comp.key_of(appended)
             verdict, last, _, _, _ = _core(comp, target, tape, depth + 1,
-                                           depth + 1, None, None, memo, passed)
+                                           depth + 1, None, None, chunk_memo,
+                                           memo, passed)
         if memo is not None:
             # the probe comes while both tables are kept, so runs count here
             hits += last is None

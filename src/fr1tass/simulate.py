@@ -15,8 +15,9 @@ steps either in cells (q, x) -> (q, y) or cycling through a short period
 of states.  On bytes tapes of at least _BLOCK_MIN letters a sweep copies
 each block of letters its state loops on in one go, and steps a row that
 neither has such a cell nor leads to one by a memo of _CHUNK-letter
-chunks, which lives for the sweep.  The tables are built on a machine's
-first long tape (_block_tables).
+chunks.  The caller keeps that memo, one per run or per enumeration, and
+it files at most _CHUNK_MEMO_MAX chunks.  The tables are built on a
+machine's first long tape (_block_tables) and bound once per _core call.
 
 _core steps sweep by sweep from any sweep boundary: every run, and each
 enumeration completion run with a verdict table or a long tape.  _decide
@@ -210,6 +211,9 @@ class _Compiled:
 _BLOCK_MIN = 32
 # Letters a chunk row (see _block_tables) steps per memo lookup.
 _CHUNK = 32
+# Chunks a chunk memo files at most, as many as one sweep of a 65,536-letter
+# tape can; it looks chunks up after that but files no new ones.
+_CHUNK_MEMO_MAX = (1 << 16) // _CHUNK
 # The end of a block that at most this many letters can end is found by
 # bytes.find, one call per letter; a regex match finds the others.
 _FIND_MAX = 2
@@ -286,12 +290,15 @@ def _block_tables(comp: _Compiled) -> tuple:
 
 
 def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
-          max_steps: Optional[int], records: Optional[list],
+          max_steps: Optional[int], records: Optional[list], chunk_memo: dict,
           memo: Optional[dict] = None, passed: Optional[list] = None):
     """Run on a word of length letters, one sweep per pass, from row and a
     coded tape (see _Compiled) after steps steps; returns (verdict, row of
     the last state, steps, sweeps, loop).  A sweep boundary (row, tape) in
     memo ends the run with its verdict and row None; passed gets the others.
+    chunk_memo maps (chunk row, chunk) to (row after, bytes written) for
+    the block loop; it may come from earlier runs of the same machine, and
+    it files no new chunk once it holds _CHUNK_MEMO_MAX.
 
     first and later hold the rows of the current streak of unchanged
     sweep-start tapes, seen = (first, *later).  When a row comes back,
@@ -307,7 +314,7 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
     # pass it
     budget = ((state_count + 1) * (length + 1) * length if max_steps is None
               else max_steps)
-    sweep_index, prev_tape = 1, None
+    sweep_index, prev_tape, skip = 1, None, None
     while tape:
         if memo is not None:
             key = row, tape
@@ -370,15 +377,18 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
                 else:
                     erased += 1
         else:
-            skip, loops, blocks = comp.blocks or _block_tables(comp)
-            floor = -1 - len(skip)  # skip values below it mark self-loop cells
-            chunks = floor - len(skip)  # and below this rows with none
-            end, view, written = min(n, room), memoryview(tape), bytearray()
+            if skip is None:  # bound at the first long sweep of the call
+                skip, loops, blocks = comp.blocks or _block_tables(comp)
+                # skip values below floor mark self-loop cells, and below
+                # chunks rows with none
+                floor = -1 - len(skip)
+                chunks = floor - len(skip)
+            end, written = min(n, room), bytearray()
             write = written.append
-            chunk_memo: dict = {}  # (row, chunk) -> (row after, bytes written)
-            erased = i = 0
+            i = 0  # letters read, so the steps taken in this sweep
             while True:
-                for c in view[i:end]:
+                while i < end:
+                    c = tape[i]
                     at = row + c
                     row = skip[at]
                     if row < 0:
@@ -386,11 +396,9 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
                     out = output[at]
                     if out >= 0:
                         write(out)
-                    else:
-                        erased += 1
+                    i += 1
                 else:
                     break
-                i = len(written) + erased
                 if row < chunks:
                     # step chunk rows by chunk_memo, filling in what it lacks;
                     # a chunk row marks every cell, so its first one tells
@@ -402,10 +410,11 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
                         if hit is not None:
                             row, out = hit
                             written += out
-                            erased, i = j - len(written), j
+                            i = j
                             continue
                         before = len(written)
-                        for c in view[i:j]:
+                        erased = i - before
+                        for c in tape[i:j]:
                             at = row + c
                             row = loops[at]
                             if row < 0:
@@ -416,15 +425,17 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
                             else:
                                 erased += 1
                         else:
-                            chunk_memo[key] = row, bytes(written[before:])
+                            if len(chunk_memo) < _CHUNK_MEMO_MAX:
+                                chunk_memo[key] = row, bytes(written[before:])
                             i = j
                             continue
-                        break  # a halt, or a self-loop cell copied below
+                        # a halt, or a self-loop cell copied below
+                        i = len(written) + erased
+                        break
                     else:
                         continue  # back to single steps
-                    i = len(written) + erased
                 if row >= floor:
-                    steps += len(written) + erased
+                    steps += i
                     if row == -1:
                         return _STUCK, at - c, steps, sweep_index, None
                     return _ACCEPTED, -2 - row, steps + 1, sweep_index, None
@@ -440,10 +451,10 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
                 else:
                     j = ends(tape, i, end).end()
                 if table is None:
-                    written += view[i:j]
+                    written += tape[i:j]
                 else:
                     written += tape[i:j].translate(table, erases)
-                erased, i = j - len(written), j
+                i = j
         if n > room:
             _exhausted(max_steps)
         steps += n
@@ -513,7 +524,7 @@ def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> 
         raise
     records: Optional[list] = [] if limits.trace else None
     verdict, row, steps, sweeps, loop = _core(
-        comp, comp.start, tape, 0, len(w), limits.max_steps, records)
+        comp, comp.start, tape, 0, len(w), limits.max_steps, records, {})
     if loop is not None:
         loop = loop[0], comp.states[loop[1] // comp.stride]
     return RunResult(verdict=verdict, halting_state=comp.states[row // comp.stride],

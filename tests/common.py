@@ -152,6 +152,21 @@ def flip_flop():
                         mode=Mode.ET)
 
 
+def rotating_countdown(sigma=None):
+    """An ET machine over L0 < ... < L11 with no self-loop cell: p copies a
+    letter and q counts the next one down a rank, erasing L0.  So every
+    row steps long tapes by the chunk memo, and a seeded word over all
+    twelve letters (the default sigma) files a new chunk almost every
+    time."""
+    tape = [f"L{i}" for i in range(12)]
+    transitions = {("p", x): ("q", x) for x in tape}
+    transitions.update({("q", x): ("p", tape[i - 1] if i else None)
+                        for i, x in enumerate(tape)})
+    return make_machine(sigma=tape if sigma is None else sigma, tape=tape,
+                        start="p", accepting=(), transitions=transitions,
+                        mode=Mode.ET)
+
+
 def stepped_verdict(m, word) -> Verdict:
     """The verdict of m on word by single steps; a configuration met twice
     is a loop.  It counts no states, so it also holds for machines whose

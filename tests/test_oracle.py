@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import (all_a, census_machines, even_length, flip_flop,
-                    pure_loop, random_machine, stepped_verdict,
-                    undeclared_chain, words)
+                    pure_loop, random_machine, rotating_countdown,
+                    stepped_verdict, undeclared_chain, words)
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
@@ -100,13 +100,14 @@ def _table_use(monkeypatch) -> dict:
     core, decide = oracle._core, oracle._decide
 
     def counted_core(comp, row, tape, steps, length, max_steps, records,
-                     memo=None, passed=None):
+                     *rest):
+        memo = rest[1] if len(rest) > 1 else None  # after the chunk memo
         used[memo is not None] += 1
         used["keyed"] += 1
         if memo is not None:
             used["sizes"].append(len(memo))
         result = core(comp, row, tape, steps, length, max_steps, records,
-                      memo, passed)
+                      *rest)
         used["hits"] += result[1] is None
         return result
 
@@ -265,6 +266,33 @@ def test_enumerate_unary_past_the_block_gate(monkeypatch, probe):
         assert used[False] == 0
     else:
         assert used["keyed"] > used[True]  # long runs without the table
+
+
+@pytest.mark.parametrize("cap", [0, 1, None], ids=["cap0", "cap1", "default"])
+@pytest.mark.parametrize("build", [
+    power_of_two, lambda: rotating_countdown(("L11",))],
+    ids=["power_of_two", "countdown"])
+def test_enumerate_shares_one_capped_chunk_memo(monkeypatch, build, cap):
+    """Completion runs past the block gate step chunks by one memo for the
+    whole call, which files no new chunk once it holds the cap."""
+    if cap is not None:
+        monkeypatch.setattr(simulate, "_CHUNK_MEMO_MAX", cap)
+    memos = []
+    core = oracle._core
+
+    def spied(*args):
+        memos.append(args[7])
+        return core(*args)
+
+    monkeypatch.setattr(oracle, "_core", spied)
+    m, n = build(), 4 * simulate._BLOCK_MIN
+    assert enumerate_accepted(m, n) == _enumerate_naive(m, n)
+    assert len({id(memo) for memo in memos}) == 1
+    held = len(memos[0])
+    if cap is None:
+        assert 1 < held < simulate._CHUNK_MEMO_MAX
+    else:
+        assert held == cap
 
 
 def test_enumerate_verdict_table_on_random_general_machines(monkeypatch):

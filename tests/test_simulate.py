@@ -1,5 +1,6 @@
 """Run semantics: verdicts, sweeps, budgets, traces."""
 
+import itertools
 import random
 import sys
 from dataclasses import replace
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import (all_a, census_machines, flip_flop, pure_loop,
-                    random_machine, reference_run, run_language,
-                    stepped_verdict, undeclared_chain, words)
+                    random_machine, reference_run, rotating_countdown,
+                    run_language, stepped_verdict, undeclared_chain, words)
 from fr1tass import simulate
 from fr1tass.exceptions import LimitExceededError
 from fr1tass.gallery import (GALLERY, balance_ab_et, center_language,
@@ -374,7 +375,7 @@ def assert_decide_matches_run(m, max_len):
     """_decide from the start of each nonempty word gives run's verdict,
     and so does _core with a verdict table that all the words share."""
     comp = simulate._compile(m)
-    memo = {}
+    memo, chunk_memo = {}, {}
     for w in words(sorted(m.input_alphabet), max_len):
         if not w:
             continue  # a queue run has taken a step; the empty word takes none
@@ -384,8 +385,8 @@ def assert_decide_matches_run(m, max_len):
         assert got is expected, w
         passed = []
         verdict, row, _, _, _ = simulate._core(
-            comp, comp.start, comp.key_of(codes), 0, len(w), None, None, memo,
-            passed)
+            comp, comp.start, comp.key_of(codes), 0, len(w), None, None,
+            chunk_memo, memo, passed)
         assert verdict is expected, w
         if row is not None:
             # the table did not give it: the first boundary met is the
@@ -577,8 +578,9 @@ def test_loop_free_machines_take_the_bytes_path(built_tables):
 
 
 def test_runs_keep_no_chunk_memo():
-    """The chunk memo lives for one sweep: later runs find the machine
-    and its compiled tables as the first long tape left them."""
+    """The chunk memo lives for one run, which makes it afresh: later runs
+    find the machine and its compiled tables as the first long tape left
+    them."""
     m = power_of_two()
     run(m, ("a",) * 64)
     comp = simulate._compile(m)
@@ -589,6 +591,34 @@ def test_runs_keep_no_chunk_memo():
         assert held.keys() == was.keys()
         assert all(held[k] is v for k, v in was.items())
     assert comp.blocks[2] == {}  # power_of_two has no block to copy
+
+
+@pytest.mark.parametrize("chunk", [4, 32])
+@pytest.mark.parametrize("cap", [0, 1, simulate._CHUNK_MEMO_MAX],
+                         ids=["cap0", "cap1", "default"])
+def test_countdown_matches_step_reference_under_chunk_memo_caps(
+        monkeypatch, cap, chunk):
+    """Every sweep of the countdown machine on a long seeded word steps
+    by the chunk memo, which files no chunk, one chunk or all it meets.
+    Step limits at each chunk edge of each sweep, and a step to either
+    side, stop the run exactly when the reference takes more steps."""
+    monkeypatch.setattr(simulate, "_CHUNK_MEMO_MAX", cap)
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    m = rotating_countdown()
+    for w in long_words(m, 5, 4):
+        expected = reference_run(m, w)
+        assert run(m, w, RunLimits(trace=True)) == expected
+        # a chunk row's sweep steps chunks from its first letter
+        starts = itertools.accumulate(r.length for r in expected.sweeps)
+        edges = {s + j for s, r in zip((0, *starts), expected.sweeps)
+                 for j in range(0, r.length + chunk, chunk)}
+        for k in sorted({e + d for e in edges for d in (-1, 0, 1)} - {-1}):
+            if k < expected.total_steps:
+                with pytest.raises(LimitExceededError):
+                    run(m, w, RunLimits(max_steps=k))
+            else:
+                assert run(m, w, RunLimits(max_steps=k, trace=True)) == \
+                    expected
 
 
 # ------------------------------------------- internal step budget safety net
