@@ -363,13 +363,13 @@ def _dot_quote(name: str) -> str:
 
 def to_dot(m: Machine) -> str:
     """Graphviz digraph: states as nodes, one edge per transition."""
-    taken = set(m.states)
+    names = sorted(named_states(m))
     entry = "__start"
-    while entry in taken:
+    while entry in names:
         entry += "_"
     lines = ["digraph machine {", "  rankdir=LR;",
              f"  {_dot_quote(entry)} [shape=point, label=\"\"];"]
-    for q in sorted(m.states):
+    for q in names:
         shape = "doublecircle" if q in m.accepting else "circle"
         lines.append(f"  {_dot_quote(q)} [shape={shape}];")
     lines.append(f"  {_dot_quote(entry)} -> {_dot_quote(m.start)};")

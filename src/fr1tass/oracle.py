@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
-from .model import Machine, Mode, Word
+from .model import Machine, Mode, Word, named_states
 from .simulate import _ACCEPTED, _compile, _core, _decide, accepts
 
 
@@ -123,8 +123,7 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
             if subtrees is None:
                 tape = comp.key_of(appended)
             verdict, last, _, _, _ = _core(comp, target, tape, depth + 1,
-                                           depth + 1, None, None, chunk_memo,
-                                           memo, passed)
+                                           None, None, chunk_memo, memo, passed)
         if memo is not None:
             # the probe comes while both tables are kept, so runs count here
             hits += last is None
@@ -358,7 +357,7 @@ def classify_unary_noaux(m: Machine) -> UnaryClass:
 def has_strongly_equivalent_states(m: Machine) -> Optional[tuple]:
     """First pair of distinct states with identical transition rows
     across the whole tape alphabet, or None when all rows differ."""
-    names = sorted(m.states)
+    names = sorted(named_states(m))
     rows = {q: tuple(m.transitions.get((q, x)) for x in m.tape.letters)
             for q in names}
     for i, p in enumerate(names):

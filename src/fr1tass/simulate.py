@@ -9,6 +9,9 @@ unchanged sweep-start tape in a row: by then a state has repeated on
 identical tapes, which proves the run is circling.  The engine stops at
 the first such repeat, whose period it knows, and works out the cut's
 state, steps, sweeps and records from there instead of stepping to it.
+Runs, enumeration and sweep_bound refuse a machine that is not freezing
+(_compile), and on a freezing one the cut ends every run, so the loops
+keep no step budget; step steps any machine.
 
 Freezing bounds how often a letter is rewritten, so long runs spend most
 steps either in cells (q, x) -> (q, y) or cycling through a short period
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional
 
-from .exceptions import LimitExceededError
+from .exceptions import LimitExceededError, PreconditionError
 from .model import Machine, Mode, Word, named_states
 
 
@@ -159,24 +162,6 @@ def sweep_bound(m: Machine, n: int) -> int:
     return (n + n * (len(comp.letters) - 1) + 1) * (comp.state_count + 1)
 
 
-def _step_budget(comp: _Compiled, n: int) -> int:
-    """Most steps a run on a word of n letters takes to a verdict,
-    sweep_bound(m, n) * max(n, 1) + n + 1.  A letter is only rewritten to
-    a lower one and erased at most once, so a run makes at most
-    n * len(letters) steps that rewrite or erase, and a sweep with none
-    leaves its start tape as it was.  _core, entered at a sweep boundary,
-    counts a loop as cut at the (state_count + 1)-th unchanged start tape
-    in a row, so it counts at most sweep_bound sweeps of at most n steps
-    from there, and steps fewer; n + 1 covers a first sweep before the
-    boundary.  It works the budget out only once a sweep could pass
-    (state_count + 1) * (n + 1) * n steps, a lower bound of it for n >= 1.
-    _decide cuts a loop in the first chunk of state_count * n steps that
-    all write back, so it steps at most n * len(letters) + 1 chunks, fewer
-    steps."""
-    return ((n * len(comp.letters) + 1) * (comp.state_count + 1) * (n or 1)
-            + n + 1)
-
-
 @dataclass(frozen=True)
 class _Compiled:
     """A machine's table with letters coded in tape order (then any letter
@@ -220,7 +205,18 @@ _FIND_MAX = 2
 
 
 def _compile(m: Machine) -> _Compiled:
-    """The compiled form of m, built on first use and kept on m."""
+    """The compiled form of m, built on first use and kept on m.
+
+    m must be freezing in code order: a transition that writes a letter
+    coded above the one it reads raises PreconditionError.  That is why
+    the run loops need no step budget.  A letter is only rewritten to a
+    lower one and erased at most once, so a run on n letters makes at most
+    n * len(letters) steps that rewrite or erase, and a sweep with none
+    leaves its start tape as it was.  _core cuts a loop at the
+    (state_count + 1)-th unchanged start tape in a row, so a run starts at
+    most sweep_bound(m, n) sweeps of at most n steps.  _decide cuts a loop
+    in the first chunk of state_count * n steps that all write back, so it
+    steps at most n * len(letters) + 1 chunks."""
     if m._compiled is not None:
         return m._compiled
     items = m.transitions.items()
@@ -241,6 +237,10 @@ def _compile(m: Machine) -> _Compiled:
         next_row[at] = target[q2]
         if out is not None:
             output[at] = code[out]
+            if output[at] > code[a]:
+                raise PreconditionError(
+                    f"not freezing: transition {q} {a} -> {q2} {out} writes "
+                    f"a letter above the one it reads")
     narrow = len(letters) <= 256
     object.__setattr__(m, "_compiled", _Compiled(
         letters=letters, code=code,
@@ -289,13 +289,13 @@ def _block_tables(comp: _Compiled) -> tuple:
     return comp.blocks
 
 
-def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
+def _core(comp: _Compiled, row: int, tape, steps: int,
           max_steps: Optional[int], records: Optional[list], chunk_memo: dict,
           memo: Optional[dict] = None, passed: Optional[list] = None):
-    """Run on a word of length letters, one sweep per pass, from row and a
-    coded tape (see _Compiled) after steps steps; returns (verdict, row of
-    the last state, steps, sweeps, loop).  A sweep boundary (row, tape) in
-    memo ends the run with its verdict and row None; passed gets the others.
+    """Run one sweep per pass, from row and a coded tape (see _Compiled)
+    after steps steps; returns (verdict, row of the last state, steps,
+    sweeps, loop).  A sweep boundary (row, tape) in memo ends the run with
+    its verdict and row None; passed gets the others.
     chunk_memo maps (chunk row, chunk) to (row after, bytes written) for
     the block loop; it may come from earlier runs of the same machine, and
     it files no new chunk once it holds _CHUNK_MEMO_MAX.
@@ -310,10 +310,7 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
     a loop verdict, else None."""
     next_row, output, gate = comp.next_row, comp.output, comp.gate
     key_of, state_count = comp.key_of, comp.state_count
-    # a lower bound of _step_budget, worked out only when a sweep could
-    # pass it
-    budget = ((state_count + 1) * (length + 1) * length if max_steps is None
-              else max_steps)
+    limit = sys.maxsize if max_steps is None else max_steps
     sweep_index, prev_tape, skip = 1, None, None
     while tape:
         if memo is not None:
@@ -343,9 +340,8 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
             a = seen.index(row)
             p, k = len(seen) - a, state_count + 1 - len(seen)
             steps += k * n
-            if steps > budget and (max_steps is not None
-                                   or steps > _step_budget(comp, length)):
-                _exhausted(max_steps)
+            if steps > limit:
+                _exhausted(limit)
             if records is not None:
                 start_tape = records[-1].start_tape
                 records += [SweepRecord(
@@ -355,10 +351,7 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
                     case=SweepCase.UNCHANGED) for j in range(1, k + 1)]
             return (_LOOP, seen[a + k % p], steps, sweep_index + k,
                     (sweep_index - p, row))
-        room = budget - steps
-        if n > room and max_steps is None:
-            budget = _step_budget(comp, length)
-            room = budget - steps
+        room = limit - steps
         if n < gate:
             written: list = []
             write = written.append
@@ -456,7 +449,7 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
                     written += tape[i:j].translate(table, erases)
                 i = j
         if n > room:
-            _exhausted(max_steps)
+            _exhausted(limit)
         steps += n
         # each sweep consumes its whole start tape, so what it wrote is the next
         prev_tape, tape = tape, key_of(written)
@@ -466,11 +459,9 @@ def _core(comp: _Compiled, row: int, tape, steps: int, length: int,
     return _ACCEPTED, row, steps, sweep_index - 1, None
 
 
-def _exhausted(max_steps: Optional[int]):
-    """Raise the error of a run that would pass its step budget."""
-    if max_steps is not None:
-        raise LimitExceededError(f"step limit of {max_steps} exhausted")
-    raise RuntimeError("internal step budget exhausted")
+def _exhausted(max_steps: int):
+    """Raise the error of a run that would pass its step limit."""
+    raise LimitExceededError(f"step limit of {max_steps} exhausted")
 
 
 def _decide(comp: _Compiled, row: int, queue: list, n: int):
@@ -504,8 +495,6 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int):
             streak += stop - i
             if streak >= count * (top - stop):
                 return _LOOP
-        elif stop > _step_budget(comp, n):
-            raise RuntimeError("internal step budget exhausted")
         else:
             streak = 0
         i, end = stop, top
@@ -524,7 +513,7 @@ def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> 
         raise
     records: Optional[list] = [] if limits.trace else None
     verdict, row, steps, sweeps, loop = _core(
-        comp, comp.start, tape, 0, len(w), limits.max_steps, records, {})
+        comp, comp.start, tape, 0, limits.max_steps, records, {})
     if loop is not None:
         loop = loop[0], comp.states[loop[1] // comp.stride]
     return RunResult(verdict=verdict, halting_state=comp.states[row // comp.stride],

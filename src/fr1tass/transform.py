@@ -85,7 +85,7 @@ def remove_erasing(a: Machine) -> Machine:
     transitions = {}
     for (q, x), (q2, out) in a.transitions.items():
         transitions[(q, x)] = (q2, box if out is None else out)
-    for q in sorted(a.states):
+    for q in sorted(named_states(a)):
         transitions[(q, box)] = (q, box)
     return make_machine(
         sigma=a.input_alphabet,
@@ -108,7 +108,7 @@ def _split_accepting_start(m: Machine) -> Machine:
     """
     if m.start not in m.accepting:
         return m
-    fresh = fresh_name(m.start, m.states)
+    fresh = fresh_name(m.start, named_states(m))
     transitions = dict(m.transitions)
     for (q, x), target in m.transitions.items():
         if q == m.start:

@@ -144,7 +144,7 @@ def undeclared_et_pair():
 def flip_flop():
     """An ET machine that is not freezing: s erases a and swaps b and the
     working letter c above it.  So once a word's a's are gone its tape
-    flips between two words, and only a step budget ends the run."""
+    flips between two words for good.  Runs refuse it; step steps it."""
     return make_machine(sigma="ab", tape="abc", start="s", accepting=(),
                         transitions={("s", "a"): ("s", None),
                                      ("s", "b"): ("s", "c"),

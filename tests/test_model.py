@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -307,3 +308,9 @@ def test_to_dot_mentions_all_parts():
                      mode=Mode.AS)
     dot = to_dot(m)
     assert '"__start_"' in dot
+    # states only the transitions name are nodes too, and the arrow node
+    # avoids them
+    m = replace(m, states=frozenset({"s"}), start="s",
+                transitions={("s", "a"): ("__start", "a")})
+    dot = to_dot(m)
+    assert '"__start" [shape=circle]' in dot and '"__start_"' in dot

@@ -1,6 +1,7 @@
 """Enumeration, comparison, predicates, and the unary classifier."""
 
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -99,15 +100,13 @@ def _table_use(monkeypatch) -> dict:
     used = {True: 0, False: 0, "keyed": 0, "sizes": [], "hits": 0}
     core, decide = oracle._core, oracle._decide
 
-    def counted_core(comp, row, tape, steps, length, max_steps, records,
-                     *rest):
+    def counted_core(comp, row, tape, steps, max_steps, records, *rest):
         memo = rest[1] if len(rest) > 1 else None  # after the chunk memo
         used[memo is not None] += 1
         used["keyed"] += 1
         if memo is not None:
             used["sizes"].append(len(memo))
-        result = core(comp, row, tape, steps, length, max_steps, records,
-                      *rest)
+        result = core(comp, row, tape, steps, max_steps, records, *rest)
         used["hits"] += result[1] is None
         return result
 
@@ -281,7 +280,7 @@ def test_enumerate_shares_one_capped_chunk_memo(monkeypatch, build, cap):
     core = oracle._core
 
     def spied(*args):
-        memos.append(args[7])
+        memos.append(args[6])
         return core(*args)
 
     monkeypatch.setattr(oracle, "_core", spied)
@@ -326,19 +325,16 @@ def test_enumerate_verdict_table_hits_at_twelve(monkeypatch, build, runs, hits):
     assert (used[True], used[False], used["hits"]) == (runs, 0, hits)
 
 
-@pytest.mark.parametrize("probe", [_MEMO_PROBE_RUNS, 1],
-                         ids=["table_run", "queue_run"])
-def test_enumerate_of_a_machine_that_is_not_freezing_hits_the_budget(
-        monkeypatch, probe):
-    # a is accepted in a table run, which with a probe of one run drops
-    # the table; ab then flips b and c forever, by _core or by _decide
-    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", probe)
-    with pytest.raises(RuntimeError,
-                       match="^internal step budget exhausted$") as info:
-        enumerate_accepted(flip_flop(), 2)
-    frames = {entry.name for entry in info.traceback}
-    assert ("_decide" in frames) is (probe == 1)
-    assert ("_core" in frames) is (probe > 1)
+@pytest.mark.parametrize("call", [
+    lambda m: enumerate_accepted(m, 2),
+    lambda m: equivalent_up_to(m, m, 2),
+], ids=["enumerate", "equivalent"])
+def test_refuses_a_machine_that_is_not_freezing(monkeypatch, call):
+    used = _table_use(monkeypatch)
+    with pytest.raises(PreconditionError,
+                       match="^not freezing: transition s b -> s c "):
+        call(flip_flop())
+    assert used[True] == used[False] == 0  # before any completion run
 
 
 # --------------------------------------------------------------- comparison
@@ -530,6 +526,15 @@ def test_strongly_equivalent_states():
                      ("r", "a"): ("q", "a"), ("z", "a"): ("p", "a")},
         extra_states=("r",))
     assert has_strongly_equivalent_states(twins) == ("p", "r")
+    # only s is declared, and p and q have one row
+    m = make_machine(sigma=("a", "b"), tape=("a", "b"), start="s",
+                     accepting=(), mode=Mode.AS,
+                     transitions={("s", "a"): ("p", None),
+                                  ("s", "b"): ("q", None),
+                                  ("p", "a"): ("r", None),
+                                  ("q", "a"): ("r", None)})
+    bare = replace(m, states=frozenset({"s"}))
+    assert has_strongly_equivalent_states(bare) == ("p", "q")
 
 
 def test_states_without_rows_count_as_equivalent():

@@ -1,4 +1,4 @@
-"""Run semantics: verdicts, sweeps, budgets, traces."""
+"""Run semantics: verdicts, sweeps, step limits, traces."""
 
 import itertools
 import random
@@ -13,7 +13,7 @@ from common import (all_a, census_machines, flip_flop, pure_loop,
                     random_machine, reference_run, rotating_countdown,
                     run_language, stepped_verdict, undeclared_chain, words)
 from fr1tass import simulate
-from fr1tass.exceptions import LimitExceededError
+from fr1tass.exceptions import LimitExceededError, PreconditionError
 from fr1tass.gallery import (GALLERY, balance_ab_et, center_language,
                              marked_copy, power_of_two, random_unary_noaux)
 from fr1tass.model import Mode, make_machine, validate
@@ -208,6 +208,17 @@ def test_halting_runs_fit_the_bound():
                 assert result.total_sweeps <= sweep_bound(m, len(w)), (name, w)
                 assert result.total_steps <= result.total_sweeps * max(len(w), 1), \
                     (name, w)
+    # counting one letter down a rank per sweep
+    tape = [f"L{i}" for i in range(10)]
+    countdown = make_machine(
+        sigma=tape[-1:], tape=tape, start="s", accepting=(), mode=Mode.ET,
+        transitions={("s", x): ("s", tape[i - 1] if i else None)
+                     for i, x in enumerate(tape)})
+    assert validate(countdown) == []
+    result = run(countdown, tape[-1:], RunLimits(trace=True))
+    assert result == reference_run(countdown, tape[-1:])
+    assert (result.verdict, result.total_sweeps) == (Verdict.ACCEPTED, 10)
+    assert result.total_sweeps <= sweep_bound(countdown, 1)
 
 
 def test_user_step_limit_raises():
@@ -385,8 +396,8 @@ def assert_decide_matches_run(m, max_len):
         assert got is expected, w
         passed = []
         verdict, row, _, _, _ = simulate._core(
-            comp, comp.start, comp.key_of(codes), 0, len(w), None, None,
-            chunk_memo, memo, passed)
+            comp, comp.start, comp.key_of(codes), 0, None, None, chunk_memo,
+            memo, passed)
         assert verdict is expected, w
         if row is not None:
             # the table did not give it: the first boundary met is the
@@ -621,42 +632,20 @@ def test_countdown_matches_step_reference_under_chunk_memo_caps(
                     expected
 
 
-# ------------------------------------------- internal step budget safety net
+# ------------------------------------------- machines that are not freezing
 
 @pytest.mark.parametrize("n", [1, 2, simulate._BLOCK_MIN, 40])
-def test_run_of_a_machine_that_is_not_freezing_hits_the_budget(built_tables, n):
-    m = flip_flop()
+def test_run_refuses_a_machine_that_is_not_freezing(built_tables, n):
+    m, w = flip_flop(), "b" * n
     assert validate(m) != []
-    with pytest.raises(RuntimeError, match="^internal step budget exhausted$"):
-        run(m, "b" * n)
-    # from the gate on the sweeps copied the tape as one block
-    assert bool(built_tables) is (n >= simulate._BLOCK_MIN)
-
-
-def test_runs_work_out_the_internal_budget_only_near_it(monkeypatch):
-    calls = []
-    budget = simulate._step_budget
-    monkeypatch.setattr(simulate, "_step_budget",
-                        lambda comp, n: calls.append(n) or budget(comp, n))
-    for build in GALLERY.values():
-        m = build()
-        for w in words(sorted(m.input_alphabet), 6):
-            run(m, w)
-    assert calls == []
-    # counting one letter down a rank per sweep, a freezing run passes the
-    # cheap bound that stands in for the budget, and works the budget out
-    tape = [f"L{i}" for i in range(10)]
-    countdown = make_machine(
-        sigma=tape[-1:], tape=tape, start="s", accepting=(), mode=Mode.ET,
-        transitions={("s", x): ("s", tape[i - 1] if i else None)
-                     for i, x in enumerate(tape)})
-    assert validate(countdown) == []
-    result = run(countdown, tape[-1:], RunLimits(trace=True))
-    assert result == reference_run(countdown, tape[-1:])
-    assert (result.verdict, result.total_sweeps) == (Verdict.ACCEPTED, 10)
-    assert calls == [1]
-    # and so does the safety net
-    calls.clear()
-    with pytest.raises(RuntimeError):
-        run(flip_flop(), "bb")
-    assert calls and set(calls) == {2}
+    # a step limit of 0 would stop the first step: the refusal comes first
+    for limits in (RunLimits(max_steps=0), None):
+        with pytest.raises(PreconditionError,
+                           match="^not freezing: transition s b -> s c "):
+            run(m, w, limits)
+    with pytest.raises(PreconditionError, match="s b -> s c"):
+        sweep_bound(m, n)
+    assert built_tables == [] and m._compiled is None
+    # step, the reference engine, still steps it
+    c = step(m, initial_configuration(m, w))
+    assert c.tape == ("b",) * (n - 1) + ("c",)

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,10 @@ from fr1tass import transform
 from fr1tass.exceptions import (AlphabetMismatchError, ErasingInputError,
                                 ModeError)
 from fr1tass.gallery import balance_ab_et, center_language, power_of_two
-from fr1tass.model import (Machine, Mode, ParseError, make_machine,
-                           parse_machine, serialize_machine, validate)
-from fr1tass.oracle import enumerate_accepted
+from fr1tass.model import (Machine, Mode, OrderedAlphabet, ParseError,
+                           make_machine, named_states, parse_machine,
+                           serialize_machine, validate)
+from fr1tass.oracle import enumerate_accepted, has_strongly_equivalent_states
 from fr1tass.simulate import Verdict, accepts, run
 from fr1tass.transform import (DfaSpec, as_to_et, complement, dfa_accepts,
                                et_to_as, from_dfa, intersect,
@@ -138,6 +140,35 @@ def test_et_to_as_follows_undeclared_states():
         expected = stepped_verdict(m, word) is Verdict.ACCEPTED
         assert (run(b, word).verdict is Verdict.ACCEPTED) == expected
     assert run_language(b, 4) == set(words(("a",), 4))
+
+
+def test_constructions_follow_undeclared_states_on_random_machines():
+    """Each seeded machine, declaring only its start or every state its
+    transitions name, gives constructions of one language up to length 4
+    and the same pair of strongly equivalent states."""
+    for seed in range(400):
+        m = random_machine(seed)
+        bare = replace(m, states=frozenset({m.start}))
+        full = replace(m, states=frozenset(named_states(bare)))
+        builds = ((remove_erasing, as_to_et,
+                   lambda a: complement(remove_erasing(a)),
+                   lambda a: union(a, a))
+                  if m.mode is Mode.AS else (et_to_as,))
+        for build in builds:
+            assert enumerate_accepted(build(bare), 4) == \
+                enumerate_accepted(build(full), 4), seed
+        assert has_strongly_equivalent_states(bare) == \
+            has_strongly_equivalent_states(full), seed
+
+
+def test_as_to_et_start_avoids_undeclared_states():
+    # s2, the first fresh name for the split start, is named by a transition
+    m = Machine(input_alphabet=frozenset("a"), tape=OrderedAlphabet(("a",)),
+                states=frozenset({"s"}), start="s", accepting=frozenset({"s"}),
+                mode=Mode.AS, transitions={("s", "a"): ("s2", "a"),
+                                           ("s2", "a"): ("s", "a")})
+    assert enumerate_accepted(m, 4) == set(words(("a",), 4)) - {()}
+    assert enumerate_accepted(as_to_et(m), 4) == set(words(("a",), 4))
 
 
 def test_et_to_as_rejects_as_input():
