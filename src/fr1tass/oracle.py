@@ -180,7 +180,8 @@ def equivalent_up_to(a: Machine, b: Machine,
     diff = in_a ^ in_b
     if not diff:
         return None
-    w = min(diff, key=_word_key(a))
+    n = min(map(len, diff))
+    w = min((w for w in diff if len(w) == n), key=_word_key(a))
     return Counterexample(word=w, in_first=w in in_a, in_second=w in in_b)
 
 

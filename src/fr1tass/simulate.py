@@ -22,6 +22,17 @@ chunks.  The caller keeps that memo, one per run or per enumeration, and
 it files at most _CHUNK_MEMO_MAX chunks.  The tables are built on a
 machine's first long tape (_block_tables) and bound once per _core call.
 
+A long tape of a few runs of one letter can shrink by the same pattern
+sweep after sweep, as a^k b^k does under a machine that erases one a and
+one b per sweep.  What a sweep does to a run depends only on the row it
+enters the run in and on whether the run outlasts that row's short walk
+to a self-loop cell (_walk).  So _jump works such a sweep out run by
+run, and when it ends in its start row with each run's count moved by a
+constant, the sweeps that repeat it are skipped at once by arithmetic
+(Marxen and Buntrock's run-length tapes for Turing machines, 1990).
+None of them halts and their tapes all differ, so the verdict, steps,
+sweeps, loop cut and step-limit error stay those of stepping them.
+
 _core steps sweep by sweep from any sweep boundary: every run, and each
 enumeration completion run with a verdict table or a long tape.  _decide
 makes the others, reading the tape as one queue in chunks.
@@ -171,8 +182,10 @@ class _Compiled:
     ``-2 - row`` for an accepting row in AS mode; ``output[row + letter]``
     is the letter written, -1 for an erasure.  ``key_of`` makes the tape,
     and verdict-table key, of a list of codes: bytes when every code fits
-    in a byte, else a tuple.  Sweeps over at least ``gate`` letters take
-    the block loop, on bytes only."""
+    in a byte, else a tuple.  With bytes, ``input_bytes`` is the input
+    letters that are one Latin-1 character, encoded, and the
+    bytes.translate table that codes them; None with tuples.  Sweeps over
+    at least ``gate`` letters take the block loop, on bytes only."""
 
     letters: tuple
     code: dict
@@ -187,6 +200,7 @@ class _Compiled:
     state_count: int
     gate: int
     key_of: type
+    input_bytes: Optional[tuple]
     blocks: Optional[tuple] = None
 
 
@@ -202,6 +216,9 @@ _CHUNK_MEMO_MAX = (1 << 16) // _CHUNK
 # The end of a block that at most this many letters can end is found by
 # bytes.find, one call per letter; a regex match finds the others.
 _FIND_MAX = 2
+# Runs of one letter a long tape may have for _core to work its sweep out
+# run by run; a tape with more ends the tries of a _core call.
+_RUNS_MAX = 8
 
 
 def _compile(m: Machine) -> _Compiled:
@@ -242,6 +259,8 @@ def _compile(m: Machine) -> _Compiled:
                     f"not freezing: transition {q} {a} -> {q2} {out} writes "
                     f"a letter above the one it reads")
     narrow = len(letters) <= 256
+    latin1 = [x for x in m.input_alphabet if len(x) == 1 and ord(x) < 256]
+    raw = "".join(latin1).encode("latin-1")
     object.__setattr__(m, "_compiled", _Compiled(
         letters=letters, code=code,
         input_code={x: code[x] for x in m.input_alphabet}, states=states,
@@ -249,21 +268,25 @@ def _compile(m: Machine) -> _Compiled:
         output=tuple(output), as_mode=as_mode, accepts_empty=m.accepts_empty,
         state_count=len(states),
         gate=_BLOCK_MIN if narrow else sys.maxsize,
-        key_of=bytes if narrow else tuple))
+        key_of=bytes if narrow else tuple,
+        input_bytes=(raw, bytes.maketrans(raw, bytes(code[x] for x in latin1)))
+        if narrow else None))
     return m._compiled
 
 
 def _block_tables(comp: _Compiled) -> tuple:
-    """(skip, loops, blocks), kept on comp.  loops is next_row with each
-    self-loop cell set to -2 - len(next_row) - row, below every accepting
-    value.  skip is loops with each cell of a chunk row set to
+    """(skip, loops, blocks, walks, runs), kept on comp.  loops is next_row
+    with each self-loop cell set to -2 - len(next_row) - row, below every
+    accepting value.  skip is loops with each cell of a chunk row set to
     -2 - 2 * len(next_row) - row, below those: a row that, like every row
     it moves to, has no self-loop cell, so that a chunk from it seldom
     stops at a block.  blocks[row] finds the end of a run of letters row
     loops on, by bytes.find of the letters that end it when there are at
     most _FIND_MAX of them and by a regex match otherwise, and copies it,
     by the translate table of its outputs and the bytes of those it
-    erases, or None when every such cell writes back the letter it read."""
+    erases, or None when every such cell writes back the letter it read.
+    walks files _walk by cell as _jump meets them, and runs iterates over
+    the runs of one letter of a tape, or is None with no self-loop cell."""
     loops, blocks, output = list(comp.next_row), {}, comp.output
     size, codes = len(loops), range(comp.stride)
     cells = {row: [c for c in codes if loops[row + c] == row]
@@ -285,8 +308,117 @@ def _block_tables(comp: _Compiled) -> tuple:
             None if all(output[row + c] == c for c in cs) else
             bytes.maketrans(bytes(kept), bytes(output[row + c] for c in kept)),
             bytes(c for c in cs if output[row + c] < 0))
-    object.__setattr__(comp, "blocks", (tuple(skip), tuple(loops), blocks))
+    runs = re.compile(b"|".join(re.escape(bytes((c,))) + b"+" for c in codes)
+                      ).finditer if blocks else None
+    object.__setattr__(comp, "blocks", (tuple(skip), tuple(loops), blocks, {},
+                                        runs))
     return comp.blocks
+
+
+def _walk(comp: _Compiled, at: int) -> Optional[tuple]:
+    """What reading the letter c of cell at = row + c over and over does:
+    (t, s, tail, y) when t steps that write tail reach a row s that loops
+    on c writing y (-1 for an erasure), None when the steps halt or
+    circle without such a row."""
+    next_row, output = comp.next_row, comp.output
+    c = at % comp.stride
+    tail = bytearray()
+    for t in range(comp.state_count):
+        row = next_row[at]
+        if row == at - c:
+            return t, row, bytes(tail), output[at]
+        if row < 0:
+            return None
+        if output[at] >= 0:
+            tail.append(output[at])
+        at = row + c
+    return None
+
+
+def _jump(comp: _Compiled, start: int, tape: bytes):
+    """The sweeps from boundary (start, tape) that repeat its sweep's
+    pattern, worked out from the runs of one letter of tape: (sweeps,
+    steps, tape before the last of them, tape after them); None when tape
+    has more than _RUNS_MAX runs, () when its sweep repeats no pattern.
+
+    A run of c letters x entered in row r takes the t steps of r's walk
+    on x (see _walk), then c - t alike in the row s the walk ends in.  So
+    while each run outlasts its tail (c > t), the row a sweep ends in and
+    the runs it writes depend on the counts only through those c - t
+    steps.  A run of at most state_count letters that has no walk, or
+    does not outlast its walk's tail, is stepped letter by letter, so its
+    count must hold.  When the sweep ends in start and writes the same
+    letters in runs, each count c_j moved by a constant d_j, the next
+    sweep does the same, and so on until a shrinking run would no longer
+    outlast its tail.  With n letters, sweep i of them takes
+    n + i * sum(d) steps and none halts; the counts do not all hold, or
+    the tape would repeat."""
+    next_row, output = comp.next_row, comp.output
+    walks, runs = comp.blocks[3:]
+    spans = []
+    for match in runs(tape):
+        if len(spans) == _RUNS_MAX:
+            return None
+        spans.append(match.span())
+    read = []  # (letter, count, tail steps) of each run
+    # the runs written: [letter, count less the source run's count, the
+    # source run, or -1 for a count the tails write alone]
+    written = []
+    row = start
+    for j, (i, end) in enumerate(spans):
+        x, c = tape[i], end - i
+        at = row + x
+        if at not in walks:
+            walks[at] = _walk(comp, at)
+        walk = walks[at]
+        if walk is not None and walk[0] < c:
+            t, row, tail, y = walk
+            pieces = [(z, 1, -1) for z in tail]
+            if y >= 0:
+                pieces.append((y, -t, j))
+        elif c <= comp.state_count:
+            t, pieces = c, []
+            for _ in range(c):
+                at = row + x
+                row = next_row[at]
+                if row < 0:
+                    return ()
+                if output[at] >= 0:
+                    pieces.append((output[at], 1, -1))
+        else:
+            return ()
+        read.append((x, c, t))
+        for z, k, source in pieces:
+            if written and written[-1][0] == z:
+                if source >= 0:
+                    if written[-1][2] >= 0:
+                        return ()  # two runs' counts add up
+                    written[-1][2] = source
+                written[-1][1] += k
+            else:
+                written.append([z, k, source])
+    if row != start or len(written) != len(read):
+        return ()
+    sweeps, moves = sys.maxsize, []
+    for j, ((x, c, t), (z, k, source)) in enumerate(zip(read, written)):
+        if z != x:
+            return ()
+        if source == j:
+            d = k
+        elif source < 0 and k == c:
+            d = 0
+        else:
+            return ()
+        if d < 0:
+            sweeps = min(sweeps, (c - t - 1) // -d + 1)
+        moves.append(d)
+    if sweeps == sys.maxsize:
+        return ()  # every count holds: the loop cut's case
+    shrink = sum(moves)
+    return (sweeps, sweeps * len(tape) + shrink * sweeps * (sweeps - 1) // 2,
+            *(b"".join(bytes((x,)) * (c + i * d)
+                       for (x, c, _), d in zip(read, moves))
+              for i in (sweeps - 1, sweeps)))
 
 
 def _core(comp: _Compiled, row: int, tape, steps: int,
@@ -307,11 +439,25 @@ def _core(comp: _Compiled, row: int, tape, steps: int,
     the (state_count + 1)-th unchanged tape in a row, k sweeps of n steps
     on: row seen[a + k % p], with the k records a trace would have met.
     loop is (sweep index, row) of the repeated boundary's first visit for
-    a loop verdict, else None."""
+    a loop verdict, else None.
+
+    An untraced run with no memo tries a sweep jump (_jump) at a long
+    boundary in the row of the boundary before it, on a shorter tape, when
+    the machine has a self-loop cell: such a tape can repeat its last
+    sweep's pattern.  It stops trying once a tape has more than _RUNS_MAX
+    runs, so other long tapes pay one test per sweep.  After k tries in a
+    row that find no pattern it lets the next 2**k - 1 such boundaries
+    pass, so a few-run tape that repeats none makes about log2 of its
+    sweeps in tries.  The jumped sweeps never halt, so the step limit is
+    checked once over them; they change their tapes, so none of them is
+    in a loop cut's streak, and the boundary after them sees prev_tape as
+    the last of them left it.  The sweep loops make every other sweep,
+    halts and loop cuts included."""
     next_row, output, gate = comp.next_row, comp.output, comp.gate
     key_of, state_count = comp.key_of, comp.state_count
     limit = sys.maxsize if max_steps is None else max_steps
-    sweep_index, prev_tape, skip = 1, None, None
+    sweep_index, prev_tape, skip, last = 1, None, None, -1
+    misses = wait = 0  # failed tries in a row bar the next 1, 3, 7, ... ones
     while tape:
         if memo is not None:
             key = row, tape
@@ -371,11 +517,32 @@ def _core(comp: _Compiled, row: int, tape, steps: int,
                     erased += 1
         else:
             if skip is None:  # bound at the first long sweep of the call
-                skip, loops, blocks = comp.blocks or _block_tables(comp)
+                skip, loops, blocks, _, runs = (comp.blocks
+                                                or _block_tables(comp))
                 # skip values below floor mark self-loop cells, and below
                 # chunks rows with none
                 floor = -1 - len(skip)
                 chunks = floor - len(skip)
+                tries = runs is not None and records is None and memo is None
+            if tries:
+                if row == last and n < len(prev_tape):
+                    if wait:
+                        wait -= 1
+                    else:
+                        jump = _jump(comp, row, tape)
+                        if jump is None:
+                            tries = False
+                        elif jump:
+                            sweeps, taken, prev_tape, tape = jump
+                            if taken > room:
+                                _exhausted(limit)
+                            steps += taken
+                            sweep_index += sweeps
+                            misses = 0
+                            continue
+                        else:
+                            misses = wait = 2 * misses + 1
+                last = row
             end, written = min(n, room), bytearray()
             write = written.append
             i = 0  # letters read, so the steps taken in this sweep
@@ -505,12 +672,26 @@ def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> 
     limits = limits or RunLimits()
     comp = _compile(m)
     w = tuple(word)
-    codes = map(comp.input_code.__getitem__, w)
-    try:
-        tape = comp.key_of(codes)  # checked and coded in one pass
-    except KeyError:
-        _check_word(m, w)  # raises, naming the first letter not in the input
-        raise
+    tape = None
+    if comp.input_bytes is not None:
+        allowed, table = comp.input_bytes
+        try:
+            raw = "".join(w).encode("latin-1")
+        except (TypeError, UnicodeEncodeError):
+            pass
+        else:
+            # as many characters as letters and no empty letter: each letter
+            # is one character, so translate checks and codes them
+            if (len(raw) == len(w) and all(w)
+                    and not raw.translate(None, allowed)):
+                tape = raw.translate(table)
+    if tape is None:  # any other word is checked and coded in one pass
+        try:
+            tape = comp.key_of(map(comp.input_code.__getitem__, w))
+        except KeyError:
+            # raises, naming the first letter not in the input alphabet
+            _check_word(m, w)
+            raise
     records: Optional[list] = [] if limits.trace else None
     verdict, row, steps, sweeps, loop = _core(
         comp, comp.start, tape, 0, limits.max_steps, records, {})

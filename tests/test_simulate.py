@@ -527,9 +527,9 @@ def block_edges(m, w) -> set:
     return edges
 
 
-def limited(m, w, k):
+def limited(m, w, k, trace=True):
     try:
-        return run(m, w, RunLimits(max_steps=k, trace=True))
+        return run(m, w, RunLimits(max_steps=k, trace=trace))
     except LimitExceededError as e:
         return str(e)
 
@@ -630,6 +630,239 @@ def test_countdown_matches_step_reference_under_chunk_memo_caps(
             else:
                 assert run(m, w, RunLimits(max_steps=k, trace=True)) == \
                     expected
+
+
+# ------------------------------------------------- sweep jumps on long tapes
+
+@pytest.fixture
+def jumped(monkeypatch) -> list:
+    """The sweeps each jump of an untraced run skipped, in order; the block
+    loop stepped the others."""
+    sweeps = []
+    jump = simulate._jump
+
+    def counted(*args):
+        found = jump(*args)
+        if found:
+            sweeps.append(found[0])
+        return found
+
+    monkeypatch.setattr(simulate, "_jump", counted)
+    return sweeps
+
+
+def assert_untraced_matches_reference(m, w, limits=()) -> RunResult:
+    """The untraced run of m on w against the step reference: verdict,
+    state, steps, sweeps and loop_start.  Under step limits 0, one step to
+    either side of the run's steps, at them and at limits, it gives the
+    result or raises the error of the traced run, whose block loop steps
+    every sweep."""
+    expected = replace(reference_run(m, w), sweeps=None)
+    assert run(m, w) == expected, w
+    steps = expected.total_steps
+    for k in {0, steps - 1, steps, steps + 1, *limits} - {-1}:
+        traced = limited(m, w, k)
+        if k > steps:
+            assert traced.sweeps is not None
+        elif k < steps:
+            assert traced == f"step limit of {k} exhausted"
+        assert limited(m, w, k, trace=False) == (
+            traced if isinstance(traced, str) else
+            replace(traced, sweeps=None)), (w, k)
+    return expected
+
+
+def sweep_edges(m, w) -> set:
+    """The steps at which the run of m on w starts a sweep, and one step to
+    either side of each."""
+    starts = itertools.accumulate(
+        (r.length for r in reference_run(m, w).sweeps), initial=0)
+    return {s + d for s in starts for d in (-1, 0, 1)}
+
+
+def block_words(i: int, j: int) -> list:
+    """a^i b^j, b^j a^i and a^i b^j a^(j // 2)."""
+    return [("a",) * i + ("b",) * j, ("b",) * j + ("a",) * i,
+            ("a",) * i + ("b",) * j + ("a",) * (j // 2)]
+
+
+def test_sweep_jumps_on_balance_match_step_reference(jumped):
+    m = balance_ab_et()
+    counts = (0, 1, 2, 15, 16, 17, 31, 32, 33, 40)
+    for i, j in itertools.product(counts, counts):
+        for w in block_words(i, j):
+            assert_untraced_matches_reference(m, w)
+    assert jumped
+    # a^40 b^40 takes 40 sweeps, each erasing one a and one b.  The block
+    # loop steps the first, which has no sweep before it, one jump the next
+    # 38, and the loop for short tapes the last.
+    jumped.clear()
+    w = block_words(40, 40)[0]
+    # limits inside the jump raise where the block loop's do
+    expected = assert_untraced_matches_reference(m, w, sweep_edges(m, w))
+    assert expected.total_sweeps == 40 and set(jumped) == {38}
+
+
+def few_run_words(m, seed: int, count: int, longest: int = 40) -> list:
+    """Seeded words of 1 to 5 runs of one letter over m's input alphabet,
+    each run of 1 to longest letters."""
+    rng = random.Random(seed)
+    sigma = sorted(m.input_alphabet)
+    return [tuple(x for _ in range(rng.randint(1, 5))
+                  for x in [rng.choice(sigma)] * rng.randint(1, longest))
+            for _ in range(count)]
+
+
+def test_sweep_jumps_on_few_run_words_match_step_reference(jumped):
+    for seed in range(400):
+        m = random_machine(seed)
+        if m.input_alphabet:
+            for w in few_run_words(m, seed, 4):
+                assert_untraced_matches_reference(m, w)
+    random_jumps = len(jumped)
+    for k, m in enumerate(census_machines()):
+        if k % 5 == 0:
+            for w in few_run_words(m, k, 2):
+                assert_untraced_matches_reference(m, w)
+    assert random_jumps and len(jumped) > random_jumps
+
+
+def test_sweep_jump_over_a_growing_run(jumped):
+    """On X^k a^i b^j the sweep copies the X's, turns the first a into an
+    X, copies the other a's, erases the first b and copies the other b's:
+    each sweep moves the counts by (+1, -1, -1)."""
+    m = make_machine(sigma="Xab", tape="Xab", start="p", accepting=(),
+                     mode=Mode.ET,
+                     transitions={("p", "X"): ("p", "X"),
+                                  ("p", "a"): ("q", "X"),
+                                  ("q", "a"): ("q", "a"),
+                                  ("q", "b"): ("p", None),
+                                  ("p", "b"): ("p", "b")})
+    for k, i, j in ((1, 30, 40), (5, 40, 35), (3, 50, 50)):
+        w = ("X",) * k + ("a",) * i + ("b",) * j
+        assert_untraced_matches_reference(m, w, sweep_edges(m, w))
+    assert jumped
+
+
+@pytest.mark.parametrize("i", [40, 41])
+def test_sweep_jump_up_to_a_stuck_sweep(jumped, i):
+    """From r, the sweep erases two a's through u and q, copies the other
+    a's in q, erases a b on its way back to r and copies the other b's:
+    the counts move by (-2, -1).  The jump stops with one a left, whose
+    sweep then reads a b in u and sticks, or two, which the walk's tail
+    takes whole, so that r copies the b's for good.  The last sweeps are
+    below the gate, where a limit inside the jump must still raise."""
+    m = make_machine(sigma="ab", tape="ab", start="r", accepting=(),
+                     mode=Mode.ET,
+                     transitions={("r", "a"): ("u", None),
+                                  ("u", "a"): ("q", None),
+                                  ("q", "a"): ("q", "a"),
+                                  ("q", "b"): ("r", None),
+                                  ("r", "b"): ("r", "b")})
+    w = ("a",) * i + ("b",) * 40
+    expected = assert_untraced_matches_reference(m, w, sweep_edges(m, w))
+    assert expected.verdict is (Verdict.REJECTED_STUCK if i % 2
+                                else Verdict.REJECTED_LOOP)
+    assert set(jumped) == {(i - 3) // 2}
+
+
+def test_sweep_jump_over_a_run_its_walk_takes_whole(jumped):
+    """From r, the sweep copies the first c's, turns bb into bb through s
+    and t, which reaches t's self-loop cell on b only with the run gone,
+    and erases the first of the last c's on its way back to r: the counts
+    move by (0, 0, -1), and the run of two b's is stepped letter by
+    letter."""
+    m = make_machine(sigma="bc", tape="cb", start="r", accepting=(),
+                     mode=Mode.ET,
+                     transitions={("r", "c"): ("r", "c"),
+                                  ("r", "b"): ("s", "b"),
+                                  ("s", "b"): ("t", "b"),
+                                  ("t", "b"): ("t", "c"),
+                                  ("t", "c"): ("r", None)})
+    w = ("c",) * 30 + ("b",) * 2 + ("c",) * 40
+    assert_untraced_matches_reference(m, w, sweep_edges(m, w))
+    assert set(jumped) == {38}
+
+
+def test_tries_that_find_no_pattern_back_off(monkeypatch):
+    """On these words one c moves between two places from sweep to
+    sweep, so no sweep repeats the pattern of the one before and every
+    try fails: after k failed tries in a row the next 2**k - 1 boundaries
+    pass untried."""
+    m = make_machine(sigma="acd", tape="acd", start="p", accepting=(),
+                     mode=Mode.ET,
+                     transitions={("p", "a"): ("q", "a"),
+                                  ("p", "c"): ("p", "a"),
+                                  ("p", "d"): ("p", "d"),
+                                  ("q", "a"): ("q", "a"),
+                                  ("q", "c"): ("p", None),
+                                  ("q", "d"): ("p", "c")})
+    tries = []
+    jump = simulate._jump
+    monkeypatch.setattr(simulate, "_jump",
+                        lambda *args: tries.append(jump(*args)) or tries[-1])
+    for counts in ((40, 20, 20, 5, 20), (40, 30, 20, 9, 60)):
+        w = tuple(x for x, k in zip("adacd", counts) for _ in range(k))
+        assert_untraced_matches_reference(m, w)
+        tries.clear()
+        result = run(m, w)
+        assert tries and set(tries) == {()}
+        assert len(tries) <= result.total_sweeps.bit_length()
+
+
+def test_balance_runs_on_120000_letters_jump(jumped):
+    """The balance runs on 120,000 letters that the console script is
+    checked on: 60,000 sweeps each, all but a few of them jumped."""
+    m, k = balance_ab_et(), 60000
+    w = ("a",) * k + ("b",) * k
+    result = run(m, w)
+    assert (result.verdict, result.total_steps, result.total_sweeps,
+            result.halting_state) == (Verdict.ACCEPTED, 3600060000, k, "1")
+    result = run(m, ("a",) * 2 + w)
+    assert (result.verdict, result.total_steps, result.total_sweeps,
+            result.halting_state) == (Verdict.REJECTED_LOOP, 3600180005,
+                                      k + 5, "2")
+    for limit in (10**9, 3600059999):
+        with pytest.raises(LimitExceededError,
+                           match=f"^step limit of {limit} exhausted$"):
+            run(m, w, RunLimits(max_steps=limit))
+    assert run(m, w, RunLimits(max_steps=3600060000)).accepted
+    assert sum(jumped) >= 5 * (k - 2)
+
+
+@pytest.mark.parametrize("build, word", [
+    (power_of_two, "a" * 40),
+    (balance_ab_et, ("a", "b") * 20),
+    (center_language, "ab" * 3 + "a"),
+    (rotating_countdown, ("L11", "L3") * 20),
+])
+def test_words_are_coded_alike_by_translate_and_by_map(monkeypatch, build,
+                                                        word):
+    """bytes.translate codes a word of one-character Latin-1 letters; any
+    other word takes the map over input_code, whose errors name the first
+    letter not in the input alphabet."""
+    m = build()
+    sigma = sorted(m.input_alphabet)
+    bad = [(*word, "z"), ("",) + tuple(word[1:]),
+           ("", sigma[0] + sigma[0]), (sigma[0], 5), ("ā",)]
+    got = {}
+    for path in ("translate", "map"):
+        if path == "map":
+            comp = replace(simulate._compile(m), input_bytes=None)
+            monkeypatch.setattr(simulate, "_compile", lambda m: comp)
+        outcomes = [run(m, word), run(m, tuple(word))]
+        for w in bad:
+            with pytest.raises(ValueError) as error:
+                run(m, w)
+            outcomes.append(str(error.value))
+        got[path] = outcomes
+    assert got["translate"] == got["map"]
+    assert got["map"][2:] == [
+        "letter 'z' not in the input alphabet",
+        "letter '' not in the input alphabet",
+        "letter '' not in the input alphabet",
+        "letter 5 not in the input alphabet",
+        "letter 'ā' not in the input alphabet"]
 
 
 # ------------------------------------------- machines that are not freezing
