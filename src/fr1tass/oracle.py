@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
 from .model import Machine, Mode, Word, named_states
-from .simulate import _ACCEPTED, _compile, _core, _decide, accepts
+from .simulate import _ACCEPTED, _Compiled, _compile, _core, _decide, accepts
 
 
 # completion runs after which enumerate_accepted keeps its verdict table
@@ -57,10 +57,35 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     by simulate._core while the verdict table is kept or from comp.gate
     letters on, else as a chunked queue run (simulate._decide).  Both cut
     the loops of a freezing machine, so every run ends in a verdict.
+
+    The walk and the runs use the verdict form of m (_verdict_form), which
+    accepts the same words with no pile of inert letters on its tapes.  A
+    live row is one a run can be in after its first step: the start's
+    targets on input letters, closed under transitions without expanding
+    AS accepting rows.  A drain erases every letter and stays.  An inert
+    letter is no input letter, some cell writes it over another letter,
+    and every live row other than a drain reads it by writing it back and
+    staying, as remove_erasing and et_to_as do with their placeholder.  In
+    AS mode the verdict form erases every inert write.  In ET mode it has
+    a flagged copy of each row: the first inert write keeps its letter and
+    moves the run to the copies, which erase every later one, so a tape
+    holds at most one inert letter, and one exactly when m's holds any.
+    This is exact:
+    - inert reads never change the row, so the verdict form's run is m's
+      with those steps taken out, and it halts at the same letters;
+    - a sweep-start tape is unchanged in m exactly when it is in the
+      verdict form, so loop cuts agree;
+    - in AS mode, a tape of inert letters alone circles in m and is empty
+      in the verdict form: both reject;
+    - in ET mode, the one kept letter stays until a drain erases it, as
+      m's inert letters do, so one tape empties exactly when the other
+      does.
+    _compile(m) comes first, so a machine that is not freezing is refused
+    even where the verdict form would erase its upward write.
     """
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
-    comp = _compile(m)
+    comp = _verdict_form(_compile(m))
     found = [()] if m.mode is Mode.ET or m.accepts_empty else []
     sigma = sorted(m.input_alphabet, key=m.tape.rank)
     codes = [comp.code[a] for a in sigma]
@@ -140,6 +165,51 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
         if verdict is _ACCEPTED:
             found.append(tuple(prefix))
     return set(found)
+
+
+def _verdict_form(comp: _Compiled) -> _Compiled:
+    """comp with its inert letters kept off the tape (see
+    enumerate_accepted), built on first use and kept on comp."""
+    if comp.verdict is not None:
+        return comp.verdict
+    next_row, output, stride = comp.next_row, comp.output, comp.stride
+    size, codes, inputs = len(next_row), range(stride), comp.input_code
+    # rows a run can be in after its first step, accepting ones left out
+    live, todo = set(), [next_row[comp.start + c] for c in inputs.values()]
+    while todo:
+        row = todo.pop()
+        if row >= 0 and row not in live:
+            live.add(row)
+            todo += [next_row[row + c] for c in codes]
+    copiers = [row for row in live if any(  # every live row but the drains
+        next_row[row + c] != row or output[row + c] >= 0 for c in codes)]
+    written = {out for at, out in enumerate(output) if out != at % stride}
+    inert = {c for c in written.difference(inputs.values(), (-1,))
+             if all(next_row[row + c] == row and output[row + c] == c
+                    for row in copiers)}
+    # the cells that write an inert letter over another one
+    cells = [at for at, out in enumerate(output)
+             if out in inert and at % stride not in inert]
+    if not cells:
+        form = comp
+    elif comp.as_mode:
+        outs = list(output)
+        for at in cells:
+            outs[at] = -1
+        form = replace(comp, output=tuple(outs), blocks=None)
+    else:
+        # a flagged copy of each row, from size on, which the first inert
+        # write moves to and which erases every later one
+        rows = [*next_row, *(t + size if t >= 0 else t for t in next_row)]
+        outs = [*output, *output]
+        for at in cells:
+            rows[at] += size
+            outs[size + at] = -1
+        form = replace(comp, next_row=tuple(rows), output=tuple(outs),
+                       states=comp.states * 2,
+                       state_count=2 * comp.state_count, blocks=None)
+    object.__setattr__(comp, "verdict", form)
+    return form
 
 
 def _enumerate_naive(m: Machine, max_len: int) -> set:

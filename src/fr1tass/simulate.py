@@ -185,7 +185,9 @@ class _Compiled:
     in a byte, else a tuple.  With bytes, ``input_bytes`` is the input
     letters that are one Latin-1 character, encoded, and the
     bytes.translate table that codes them; None with tuples.  Sweeps over
-    at least ``gate`` letters take the block loop, on bytes only."""
+    at least ``gate`` letters take the block loop, on bytes only.
+    ``blocks`` and ``verdict`` (see oracle._verdict_form) are built on
+    first use and kept."""
 
     letters: tuple
     code: dict
@@ -202,6 +204,7 @@ class _Compiled:
     key_of: type
     input_bytes: Optional[tuple]
     blocks: Optional[tuple] = None
+    verdict: Optional[_Compiled] = None
 
 
 # The gate of a machine with at most 256 letters; on shorter tapes blocks
@@ -616,6 +619,9 @@ def _core(comp: _Compiled, row: int, tape, steps: int,
                     written += tape[i:j].translate(table, erases)
                 i = j
         if n > room:
+            # the letter after the limit's last step may have no transition
+            if next_row[row + tape[room]] == -1:
+                return _STUCK, row, limit, sweep_index, None
             _exhausted(limit)
         steps += n
         # each sweep consumes its whole start tape, so what it wrote is the next

@@ -25,7 +25,7 @@ from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
 from fr1tass.pcp import (PcpInstance, encode_pcp_candidate,
                          pcp_solution_encoding)
 from fr1tass.simulate import Verdict, accepts
-from fr1tass.transform import as_to_et, et_to_as
+from fr1tass.transform import as_to_et, complement, et_to_as, remove_erasing
 
 INSTANCE = PcpInstance(u_words=("a", "ab"), v_words=("aa", "b"),
                        base_alphabet=("a", "b"))
@@ -313,12 +313,14 @@ def test_enumerate_verdict_table_on_random_general_machines(monkeypatch):
 
 @pytest.mark.parametrize("build, runs, hits", [
     (balance_ab_et, 1580, 1533),
-    (lambda: et_to_as(balance_ab_et()), 8190, 6842),
-    (lambda: as_to_et(et_to_as(balance_ab_et())), 8190, 6853),
+    (lambda: et_to_as(balance_ab_et()), 1944, 1909),
+    (lambda: as_to_et(et_to_as(balance_ab_et())), 3004, 2822),
 ], ids=["balance_ab_et", "et_to_as", "as_to_et_et_to_as"])
 def test_enumerate_verdict_table_hits_at_twelve(monkeypatch, build, runs, hits):
     """Loop runs end at their first repeated sweep boundary, which files
-    the same keys as running on to the cut: the routing and hits hold."""
+    the same keys as running on to the cut: the routing and hits hold.
+    The two bridges run their verdict forms, which keep the placeholder
+    off the tape, so their subtrees share."""
     used = _table_use(monkeypatch)
     assert enumerate_accepted(build(), 12) == {
         w for w in words("ab", 12) if is_balanced_ab(w)}
@@ -335,6 +337,78 @@ def test_refuses_a_machine_that_is_not_freezing(monkeypatch, call):
                        match="^not freezing: transition s b -> s c "):
         call(flip_flop())
     assert used[True] == used[False] == 0  # before any completion run
+
+
+# ------------------------------------------------------------- verdict form
+
+def _rewritten(m) -> bool:
+    comp = simulate._compile(m)
+    return oracle._verdict_form(comp) is not comp
+
+
+def test_verdict_form_of_constructions_on_random_machines():
+    """The bridges, remove_erasing and complement of random machines, in
+    both modes: many write an inert placeholder, which the verdict form
+    keeps off the tape, and every one enumerates like one run per word."""
+    rewritten = {Mode.AS: 0, Mode.ET: 0}
+    for seed in range(300):
+        m = random_machine(seed)
+        a = et_to_as(m) if m.mode is Mode.ET else m
+        r = remove_erasing(a)
+        for x in (m, as_to_et(m) if a is m else a, r, complement(r),
+                  as_to_et(r)):
+            n = 3 if len(x.input_alphabet) == 3 else 5
+            assert enumerate_accepted(x, n) == _enumerate_naive(x, n), seed
+            rewritten[x.mode] += _rewritten(x)
+    assert min(rewritten.values()) >= 300, rewritten
+
+
+def test_verdict_form_keeps_one_placeholder_on_et_tapes():
+    """kept is an ET machine whose one state keeps every X it writes, so
+    only the empty word empties its tape.  In the other two, p loops on X
+    but q accepts on it or erases it, so X is not inert."""
+    kept = make_machine(sigma="a", tape="Xa", start="p", accepting=(),
+                        mode=Mode.ET, transitions={("p", "a"): ("p", "X"),
+                                                   ("p", "X"): ("p", "X")})
+    assert _rewritten(kept)
+    assert enumerate_accepted(kept, 8) == _enumerate_naive(kept, 8) == {()}
+    rows = {("p", "a"): ("p", "X"), ("p", "X"): ("p", "X"),
+            ("p", "b"): ("q", "b"), ("q", "b"): ("q", "b"),
+            ("q", "a"): ("q", "X")}
+    accepts_x = make_machine(sigma="ab", tape="Xab", start="p",
+                             accepting=("f",), mode=Mode.AS,
+                             transitions={**rows, ("q", "X"): ("f", "X")})
+    erases_x = make_machine(sigma="ab", tape="Xab", start="p", accepting=(),
+                            mode=Mode.ET,
+                            transitions={**rows, ("q", "X"): ("q", None)})
+    for m in (accepts_x, erases_x):
+        assert not _rewritten(m)
+        assert enumerate_accepted(m, 6) == _enumerate_naive(m, 6)
+    assert ("a", "b") in enumerate_accepted(accepts_x, 2)
+
+
+@pytest.mark.parametrize("build", [
+    center_language, lambda: as_to_et(center_language()), marked_copy,
+    power_of_two, balance_ab_et])
+def test_verdict_form_leaves_machines_without_inert_writes(build):
+    """as_to_et(center_language) has a placeholder that nothing writes."""
+    assert not _rewritten(build())
+
+
+@pytest.mark.parametrize("mode", [Mode.AS, Mode.ET])
+def test_verdict_form_refuses_an_upward_placeholder_write(monkeypatch, mode):
+    """X sits above a and p writes it over a, then loops on it: X would be
+    inert, but the machine is not freezing, so it is refused."""
+    m = make_machine(sigma="a", tape="aX", start="p", accepting=(),
+                     mode=mode, transitions={("p", "a"): ("p", "X"),
+                                             ("p", "X"): ("p", "X")})
+    used = _table_use(monkeypatch)
+    for call in (lambda: enumerate_accepted(m, 3),
+                 lambda: equivalent_up_to(m, m, 3)):
+        with pytest.raises(PreconditionError,
+                           match="^not freezing: transition p a -> p X "):
+            call()
+    assert used[True] == used[False] == 0
 
 
 # --------------------------------------------------------------- comparison

@@ -228,6 +228,23 @@ def test_user_step_limit_raises():
     assert run(power_of_two(), "aaaa", RunLimits(max_steps=8)).accepted
 
 
+@pytest.mark.parametrize("gate", [1, sys.maxsize], ids=["blocks", "plain"])
+@pytest.mark.parametrize("n", [3, 5, 33, 255])
+def test_a_run_that_sticks_at_its_step_limit_keeps_its_verdict(
+        monkeypatch, gate, n):
+    """power_of_two sticks on a word of odd length n > 1 after n steps,
+    with no step taken on the letter it sticks at: a limit of n steps
+    returns that verdict in either sweep loop, and n - 1 raises."""
+    monkeypatch.setattr(simulate, "_BLOCK_MIN", gate)
+    m, w = power_of_two(), "a" * n
+    expected = run(m, w, RunLimits(trace=True))
+    assert (expected.verdict, expected.total_steps) == (
+        Verdict.REJECTED_STUCK, n)
+    assert run(m, w, RunLimits(max_steps=n, trace=True)) == expected
+    with pytest.raises(LimitExceededError, match=f"^step limit of {n - 1} "):
+        run(m, w, RunLimits(max_steps=n - 1))
+
+
 @pytest.mark.parametrize("limit", [-1, -5])
 def test_negative_step_limit_is_refused(limit):
     with pytest.raises(ValueError, match="^max_steps must be at least 0$"):
@@ -656,15 +673,16 @@ def assert_untraced_matches_reference(m, w, limits=()) -> RunResult:
     state, steps, sweeps and loop_start.  Under step limits 0, one step to
     either side of the run's steps, at them and at limits, it gives the
     result or raises the error of the traced run, whose block loop steps
-    every sweep."""
+    every sweep: the result from the run's steps on, a run that sticks
+    included, and the error below them."""
     expected = replace(reference_run(m, w), sweeps=None)
     assert run(m, w) == expected, w
     steps = expected.total_steps
     for k in {0, steps - 1, steps, steps + 1, *limits} - {-1}:
         traced = limited(m, w, k)
-        if k > steps:
-            assert traced.sweeps is not None
-        elif k < steps:
+        if k >= steps:
+            assert replace(traced, sweeps=None) == expected, (w, k)
+        else:
             assert traced == f"step limit of {k} exhausted"
         assert limited(m, w, k, trace=False) == (
             traced if isinstance(traced, str) else
@@ -751,7 +769,8 @@ def test_sweep_jump_up_to_a_stuck_sweep(jumped, i):
     the counts move by (-2, -1).  The jump stops with one a left, whose
     sweep then reads a b in u and sticks, or two, which the walk's tail
     takes whole, so that r copies the b's for good.  The last sweeps are
-    below the gate, where a limit inside the jump must still raise."""
+    below the gate with 40 b's and above it with 80, where a limit inside
+    the jump must still raise and one at the sticking step must not."""
     m = make_machine(sigma="ab", tape="ab", start="r", accepting=(),
                      mode=Mode.ET,
                      transitions={("r", "a"): ("u", None),
@@ -759,11 +778,13 @@ def test_sweep_jump_up_to_a_stuck_sweep(jumped, i):
                                   ("q", "a"): ("q", "a"),
                                   ("q", "b"): ("r", None),
                                   ("r", "b"): ("r", "b")})
-    w = ("a",) * i + ("b",) * 40
-    expected = assert_untraced_matches_reference(m, w, sweep_edges(m, w))
-    assert expected.verdict is (Verdict.REJECTED_STUCK if i % 2
-                                else Verdict.REJECTED_LOOP)
-    assert set(jumped) == {(i - 3) // 2}
+    for j in (40, 80):
+        jumped.clear()
+        w = ("a",) * i + ("b",) * j
+        expected = assert_untraced_matches_reference(m, w, sweep_edges(m, w))
+        assert expected.verdict is (Verdict.REJECTED_STUCK if i % 2
+                                    else Verdict.REJECTED_LOOP)
+        assert set(jumped) == {(i - 3) // 2}
 
 
 def test_sweep_jump_over_a_run_its_walk_takes_whole(jumped):
