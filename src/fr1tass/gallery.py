@@ -183,7 +183,6 @@ def random_unary_noaux(seed: int, n_states: int) -> Machine:
         accepting=accepting if mode is Mode.AS else (),
         transitions=transitions,
         mode=mode,
-        extra_states=states,
     )
 
 

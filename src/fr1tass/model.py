@@ -33,11 +33,8 @@ class Mode(enum.Enum):
 
 class ViolationCode(enum.Enum):
     SIGMA_NOT_IN_GAMMA = "SigmaNotInGamma"
-    BAD_START = "BadStart"
-    BAD_ACCEPT = "BadAccept"
     NON_FREEZING = "NonFreezing"
     UNKNOWN_LETTER = "UnknownLetter"
-    UNKNOWN_STATE = "UnknownState"
     DUPLICATE_TRANSITION = "DuplicateTransition"
 
 
@@ -107,7 +104,9 @@ class Machine:
 
     ``transitions`` maps (state, consumed letter) to (next state, output)
     where output ``None`` means erase.  ``accepts_empty`` is only meaningful
-    in AS mode; ET machines always accept the empty word.
+    in AS mode; ET machines always accept the empty word.  ``states`` is
+    completed on construction with the start, the accepting states and
+    every state a transition names, so it holds every state a run enters.
 
     Instances are treated as immutable; ``metadata`` is free-form bookkeeping
     that does not participate in equality.
@@ -126,17 +125,19 @@ class Machine:
     _compiled: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # each distinct token is checked once, in the order first met
-        kinds = dict.fromkeys(self.states, "state")
-        kinds.setdefault(self.start, "state")
+        # states holds every state the start, the accepting set or a
+        # transition names; each distinct token is checked once
+        states = dict.fromkeys([*self.states, self.start, *self.accepting])
+        letters = {}
         for (q, a), (q2, out) in self.transitions.items():
-            kinds.setdefault(q, "state")
-            kinds.setdefault(q2, "state")
-            kinds.setdefault(a, "letter")
+            states[q] = states[q2] = letters[a] = None
             if out is not None:
-                kinds.setdefault(out, "letter")
-        for token, what in kinds.items():
-            _check_token(token, what)
+                letters[out] = None
+        for token in states:
+            _check_token(token, "state")
+        for token in letters:
+            _check_token(token, "letter")
+        object.__setattr__(self, "states", frozenset(states))
         object.__setattr__(self, "_compiled", None)
 
     def rank(self, letter: str) -> int:
@@ -158,21 +159,8 @@ def validate(m: Machine) -> list:
             report.append(Violation(
                 ViolationCode.SIGMA_NOT_IN_GAMMA,
                 f"input letter {letter} missing from tape alphabet"))
-    if m.start not in m.states:
-        report.append(Violation(
-            ViolationCode.BAD_START, f"start state {m.start} not a state"))
-    for q in sorted(m.accepting):
-        if q not in m.states:
-            report.append(Violation(
-                ViolationCode.BAD_ACCEPT, f"accepting state {q} not a state"))
     for (q, a), (q2, out) in sorted(m.transitions.items()):
         where = f"transition {q} {a}"
-        if q not in m.states:
-            report.append(Violation(
-                ViolationCode.UNKNOWN_STATE, f"{where}: source {q} not a state"))
-        if q2 not in m.states:
-            report.append(Violation(
-                ViolationCode.UNKNOWN_STATE, f"{where}: target {q2} not a state"))
         if a not in m.tape:
             report.append(Violation(
                 ViolationCode.UNKNOWN_LETTER, f"{where}: letter {a} not on tape"))
@@ -363,7 +351,7 @@ def _dot_quote(name: str) -> str:
 
 def to_dot(m: Machine) -> str:
     """Graphviz digraph: states as nodes, one edge per transition."""
-    names = sorted(named_states(m))
+    names = sorted(m.states)
     entry = "__start"
     while entry in names:
         entry += "_"
@@ -385,15 +373,12 @@ def make_machine(sigma: Iterable[str], tape: Iterable[str], start: str,
                  accepting: Iterable[str], transitions: Mapping, mode: Mode,
                  accepts_empty: bool = False, extra_states: Iterable[str] = (),
                  metadata: Optional[dict] = None) -> Machine:
-    """Convenience constructor that derives the state set."""
-    states = {start, *accepting, *extra_states}
-    for (q, _), (q2, _) in transitions.items():
-        states.add(q)
-        states.add(q2)
+    """Convenience constructor; extra_states declares states that the
+    start, the accepting set and the transitions do not name."""
     return Machine(
         input_alphabet=frozenset(sigma),
         tape=OrderedAlphabet(tuple(tape)),
-        states=frozenset(states),
+        states=frozenset(extra_states),
         start=start,
         accepting=frozenset(accepting),
         transitions=dict(transitions),
@@ -401,15 +386,6 @@ def make_machine(sigma: Iterable[str], tape: Iterable[str], start: str,
         accepts_empty=accepts_empty,
         metadata=metadata or {},
     )
-
-
-def named_states(m: Machine) -> tuple:
-    """Every state a run of m can enter, declared or not, each once: the
-    start, the declared states in sorted order, then the states only the
-    transitions name, in the order first met."""
-    return tuple(dict.fromkeys([
-        m.start, *sorted(m.states),
-        *(x for (q, _), (q2, _) in m.transitions.items() for x in (q, q2))]))
 
 
 def fresh_name(base: str, taken) -> str:

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
-from .model import Machine, Mode, Word, named_states
+from .model import Machine, Mode, Word
 from .simulate import _ACCEPTED, _Compiled, _compile, _core, _decide, accepts
 
 
@@ -428,7 +428,7 @@ def classify_unary_noaux(m: Machine) -> UnaryClass:
 def has_strongly_equivalent_states(m: Machine) -> Optional[tuple]:
     """First pair of distinct states with identical transition rows
     across the whole tape alphabet, or None when all rows differ."""
-    names = sorted(named_states(m))
+    names = sorted(m.states)
     rows = {q: tuple(m.transitions.get((q, x)) for x in m.tape.letters)
             for q in names}
     for i, p in enumerate(names):

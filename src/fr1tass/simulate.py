@@ -48,7 +48,7 @@ from itertools import islice
 from typing import Iterable, Optional
 
 from .exceptions import LimitExceededError, PreconditionError
-from .model import Machine, Mode, Word, named_states
+from .model import Machine, Mode, Word
 
 
 class Verdict(enum.Enum):
@@ -168,7 +168,7 @@ def step(m: Machine, c: Configuration):
 
 def sweep_bound(m: Machine, n: int) -> int:
     """Sweeps a length-n run can start before looping is certain, counting
-    every state and letter the transitions name."""
+    every state of m and every letter its transitions name."""
     comp = _compile(m)
     return (n + n * (len(comp.letters) - 1) + 1) * (comp.state_count + 1)
 
@@ -225,7 +225,8 @@ _RUNS_MAX = 8
 
 
 def _compile(m: Machine) -> _Compiled:
-    """The compiled form of m, built on first use and kept on m.
+    """The compiled form of m, built on first use and kept on m.  Its rows
+    are the states of m, the start first and the rest sorted.
 
     m must be freezing in code order: a transition that writes a letter
     coded above the one it reads raises PreconditionError.  That is why
@@ -243,7 +244,7 @@ def _compile(m: Machine) -> _Compiled:
     letters = tuple(dict.fromkeys([
         *m.tape.letters, *sorted(m.input_alphabet),
         *(x for (_, a), (_, out) in items for x in (a, out) if x is not None)]))
-    states = named_states(m)
+    states = (m.start, *sorted(m.states - {m.start}))
     code = {x: i for i, x in enumerate(letters)}
     stride = max(len(letters), 1)
     row = {q: i * stride for i, q in enumerate(states)}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .exceptions import AlphabetMismatchError, ErasingInputError, ModeError
 from .model import (RESERVED_TOKENS, Machine, Mode, ParseError, _letters_of,
-                    _read_directives, fresh_name, make_machine, named_states)
+                    _read_directives, fresh_name, make_machine)
 
 
 def _reachable_as(sigma, tape, start: str, accepting, move,
@@ -56,7 +56,7 @@ def _reachable_as(sigma, tape, start: str, accepting, move,
                 todo += [(q2, x) for x in letters]
     return make_machine(sigma, [x for x in tape if x in known], start,
                         accepting & seen, transitions, Mode.AS, accepts_empty,
-                        extra_states=seen, metadata=metadata)
+                        metadata=metadata)
 
 
 def _marked_names(letters) -> dict:
@@ -85,7 +85,7 @@ def remove_erasing(a: Machine) -> Machine:
     transitions = {}
     for (q, x), (q2, out) in a.transitions.items():
         transitions[(q, x)] = (q2, box if out is None else out)
-    for q in sorted(named_states(a)):
+    for q in sorted(a.states):
         transitions[(q, box)] = (q, box)
     return make_machine(
         sigma=a.input_alphabet,
@@ -95,7 +95,6 @@ def remove_erasing(a: Machine) -> Machine:
         transitions=transitions,
         mode=Mode.AS,
         accepts_empty=a.accepts_empty,
-        extra_states=a.states,
     )
 
 
@@ -108,13 +107,12 @@ def _split_accepting_start(m: Machine) -> Machine:
     """
     if m.start not in m.accepting:
         return m
-    fresh = fresh_name(m.start, named_states(m))
+    fresh = fresh_name(m.start, m.states)
     transitions = dict(m.transitions)
     for (q, x), target in m.transitions.items():
         if q == m.start:
             transitions[(fresh, x)] = target
-    return replace(m, states=m.states | {fresh}, start=fresh,
-                   transitions=transitions)
+    return replace(m, start=fresh, transitions=transitions)
 
 
 def as_to_et(a: Machine) -> Machine:
@@ -305,7 +303,7 @@ def complement(a: Machine) -> Machine:
     tape = []
     for x in a.tape.letters:
         tape += [mark[x], x]
-    rounds = len(named_states(a)) + 1
+    rounds = len(a.states) + 1
 
     def move(key):
         """One step, worked out from a's rows on demand.  The copy q.i of

@@ -3,8 +3,7 @@
 import itertools
 import random
 
-from fr1tass.model import (Machine, Mode, OrderedAlphabet, make_machine,
-                           named_states)
+from fr1tass.model import Machine, Mode, OrderedAlphabet, make_machine
 from fr1tass.simulate import (Halted, HaltReason, RunResult, SweepCase,
                               SweepRecord, Verdict, accepts,
                               initial_configuration, step)
@@ -118,11 +117,11 @@ def census_machines():
 
 
 def undeclared_chain(k: int, loops: bool):
-    """A machine declaring only its start state s.  On a, s steps through
-    k undeclared states q1 .. qk, writing a back each time; qk then goes
-    to the undeclared accepting state acc, or back to s when loops is
-    set.  So a run on a nonempty word accepts after k + 1 steps or
-    circles forever."""
+    """A machine built declaring only its start state s, which Machine
+    completes with the states below.  On a, s steps through q1 .. qk,
+    writing a back each time; qk then goes to the accepting state acc, or
+    back to s when loops is set.  So a run on a nonempty word accepts
+    after k + 1 steps or circles forever."""
     chain = ["s", *(f"q{i}" for i in range(1, k + 1)), "s" if loops else "acc"]
     return Machine(input_alphabet=frozenset("a"), tape=OrderedAlphabet(("a",)),
                    states=frozenset({"s"}), start="s",
@@ -132,9 +131,9 @@ def undeclared_chain(k: int, loops: bool):
 
 
 def undeclared_et_pair():
-    """An ET machine declaring only its start state s.  On a, s goes to
-    the undeclared state q1, writing a back, and q1 erases the a it reads
-    on its way back to s.  So every word empties its tape."""
+    """An ET machine built declaring only its start state s.  On a, s goes
+    to q1, writing a back, and q1 erases the a it reads on its way back to
+    s.  So every word empties its tape."""
     return Machine(input_alphabet=frozenset("a"), tape=OrderedAlphabet(("a",)),
                    states=frozenset({"s"}), start="s", accepting=frozenset(),
                    mode=Mode.ET, transitions={("s", "a"): ("q1", "a"),
@@ -193,12 +192,12 @@ def reference_run(m, word, max_steps: int = 10**6) -> RunResult:
     """The traced run of m on word, one step at a time.
 
     Loops are cut by the engine's rule: more unchanged sweep-start tapes in
-    a row than there are states, declared or named by a transition.  Each
+    a row than m has states.  Each
     cut is certified against the sweep-start configurations already
     visited, and its loop_start is the sweep index and state of the first
     one the run met again.
     """
-    state_count = len(named_states(m))
+    state_count = len(m.states)
     c = initial_configuration(m, word)
     records, visited, loop_start = [], {}, None
     prev, unchanged = None, 0

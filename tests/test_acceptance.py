@@ -314,14 +314,16 @@ def test_criterion_11_serialization_and_validation():
         base.update(overrides)
         return Machine(**base)
 
+    # a state that the start, the accepting set or a transition names
+    # is a state, so no machine can name an undeclared one
+    ok &= broken(start="ghost", accepting=frozenset({"phantom"}),
+                 transitions={("p", "a"): ("stranger", None)}).states == {
+        "p", "q", "ghost", "phantom", "stranger"}
     seen = set()
     fixtures = [
         broken(input_alphabet=frozenset({"a", "z"})),
-        broken(start="ghost"),
-        broken(accepting=frozenset({"phantom"})),
         broken(transitions={("p", "A"): ("q", "a")}),
         broken(transitions={("p", "z"): ("q", None)}),
-        broken(transitions={("p", "a"): ("stranger", None)}),
     ]
     for m in fixtures:
         seen |= {v.code for v in validate(m)}

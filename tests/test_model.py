@@ -112,11 +112,22 @@ def test_validate_flags_input_letter_missing_from_tape():
     assert ViolationCode.SIGMA_NOT_IN_GAMMA in codes
 
 
-def test_validate_flags_bad_start_and_accept():
+def test_machine_folds_start_and_accepting_into_states():
     m = _violating(start="ghost", accepting=frozenset({"phantom"}))
-    codes = {v.code for v in validate(m)}
-    assert ViolationCode.BAD_START in codes
-    assert ViolationCode.BAD_ACCEPT in codes
+    assert m.states == {"p", "q", "ghost", "phantom"}
+    assert validate(m) == []
+
+
+def test_machine_declaring_only_its_start_round_trips():
+    transitions = {("s", "a"): ("t", "a"), ("t", "a"): ("acc", None)}
+    m = Machine(input_alphabet=frozenset("a"), tape=OrderedAlphabet(("a",)),
+                states=frozenset({"s"}), start="s",
+                accepting=frozenset({"acc", "far"}), transitions=transitions,
+                mode=Mode.AS)
+    assert m.states == {"s", "t", "acc", "far"}
+    assert parse_machine(serialize_machine(m)) == m
+    assert m == make_machine("a", "a", "s", ("acc", "far"), transitions,
+                             Mode.AS)
 
 
 def test_validate_flags_rank_raising_output():
@@ -125,17 +136,17 @@ def test_validate_flags_rank_raising_output():
     assert ViolationCode.NON_FREEZING in codes
 
 
-def test_validate_flags_unknown_letters_and_states():
+def test_validate_flags_unknown_letters_not_states():
     m = _violating(transitions={("p", "z"): ("q", None)})
     codes = {v.code for v in validate(m)}
     assert ViolationCode.UNKNOWN_LETTER in codes
     m = _violating(transitions={("p", "a"): ("stranger", None)})
-    codes = {v.code for v in validate(m)}
-    assert ViolationCode.UNKNOWN_STATE in codes
+    assert m.states == {"p", "q", "stranger"}
+    assert validate(m) == []
 
 
 def test_validate_report_is_sorted_and_printable():
-    m = _violating(start="ghost", accepting=frozenset({"phantom"}),
+    m = _violating(input_alphabet=frozenset({"a", "z"}),
                    transitions={("p", "A"): ("q", "a")})
     report = validate(m)
     assert report == sorted(report, key=lambda v: (v.code.value, v.message))

@@ -119,6 +119,16 @@ def _table_use(monkeypatch) -> dict:
     return used
 
 
+def _refuse_runs(monkeypatch):
+    """Makes any completion run by _core or _decide fail at once, so a
+    machine that must be refused before one starts cannot run on."""
+    def refused(*args):
+        raise AssertionError("a completion run started")
+
+    monkeypatch.setattr(oracle, "_core", refused)
+    monkeypatch.setattr(oracle, "_decide", refused)
+
+
 @pytest.mark.parametrize("build, n, kept", [
     (balance_ab_et, 10, True),
     (lambda: et_to_as(balance_ab_et()), 10, True),
@@ -332,11 +342,10 @@ def test_enumerate_verdict_table_hits_at_twelve(monkeypatch, build, runs, hits):
     lambda m: equivalent_up_to(m, m, 2),
 ], ids=["enumerate", "equivalent"])
 def test_refuses_a_machine_that_is_not_freezing(monkeypatch, call):
-    used = _table_use(monkeypatch)
+    _refuse_runs(monkeypatch)  # refused before any completion run
     with pytest.raises(PreconditionError,
                        match="^not freezing: transition s b -> s c "):
         call(flip_flop())
-    assert used[True] == used[False] == 0  # before any completion run
 
 
 # ------------------------------------------------------------- verdict form
@@ -402,13 +411,12 @@ def test_verdict_form_refuses_an_upward_placeholder_write(monkeypatch, mode):
     m = make_machine(sigma="a", tape="aX", start="p", accepting=(),
                      mode=mode, transitions={("p", "a"): ("p", "X"),
                                              ("p", "X"): ("p", "X")})
-    used = _table_use(monkeypatch)
+    _refuse_runs(monkeypatch)
     for call in (lambda: enumerate_accepted(m, 3),
                  lambda: equivalent_up_to(m, m, 3)):
         with pytest.raises(PreconditionError,
                            match="^not freezing: transition p a -> p X "):
             call()
-    assert used[True] == used[False] == 0
 
 
 # --------------------------------------------------------------- comparison
@@ -600,15 +608,15 @@ def test_strongly_equivalent_states():
                      ("r", "a"): ("q", "a"), ("z", "a"): ("p", "a")},
         extra_states=("r",))
     assert has_strongly_equivalent_states(twins) == ("p", "r")
-    # only s is declared, and p and q have one row
+    # p and q have one row; declaring only s declares them as well
     m = make_machine(sigma=("a", "b"), tape=("a", "b"), start="s",
                      accepting=(), mode=Mode.AS,
                      transitions={("s", "a"): ("p", None),
                                   ("s", "b"): ("q", None),
                                   ("p", "a"): ("r", None),
                                   ("q", "a"): ("r", None)})
-    bare = replace(m, states=frozenset({"s"}))
-    assert has_strongly_equivalent_states(bare) == ("p", "q")
+    assert replace(m, states=frozenset({"s"})) == m
+    assert has_strongly_equivalent_states(m) == ("p", "q")
 
 
 def test_states_without_rows_count_as_equivalent():

@@ -19,9 +19,9 @@ from fr1tass.exceptions import (AlphabetMismatchError, ErasingInputError,
                                 ModeError)
 from fr1tass.gallery import balance_ab_et, center_language, power_of_two
 from fr1tass.model import (Machine, Mode, OrderedAlphabet, ParseError,
-                           make_machine, named_states, parse_machine,
-                           serialize_machine, validate)
-from fr1tass.oracle import enumerate_accepted, has_strongly_equivalent_states
+                           make_machine, parse_machine, serialize_machine,
+                           validate)
+from fr1tass.oracle import enumerate_accepted
 from fr1tass.simulate import Verdict, accepts, run
 from fr1tass.transform import (DfaSpec, as_to_et, complement, dfa_accepts,
                                et_to_as, from_dfa, intersect,
@@ -143,22 +143,17 @@ def test_et_to_as_follows_undeclared_states():
 
 
 def test_constructions_follow_undeclared_states_on_random_machines():
-    """Each seeded machine, declaring only its start or every state its
-    transitions name, gives constructions of one language up to length 4
-    and the same pair of strongly equivalent states."""
+    """Each seeded machine, declaring only its start, declares every state
+    its start, accepting set and transitions name, so constructions see
+    the machine that declares them all."""
     for seed in range(400):
         m = random_machine(seed)
         bare = replace(m, states=frozenset({m.start}))
-        full = replace(m, states=frozenset(named_states(bare)))
-        builds = ((remove_erasing, as_to_et,
-                   lambda a: complement(remove_erasing(a)),
-                   lambda a: union(a, a))
-                  if m.mode is Mode.AS else (et_to_as,))
-        for build in builds:
-            assert enumerate_accepted(build(bare), 4) == \
-                enumerate_accepted(build(full), 4), seed
-        assert has_strongly_equivalent_states(bare) == \
-            has_strongly_equivalent_states(full), seed
+        named = {m.start, *m.accepting,
+                 *(x for (q, _), (q2, _) in m.transitions.items()
+                   for x in (q, q2))}
+        assert bare.states == named, seed
+        assert bare == replace(m, states=frozenset(named)), seed
 
 
 def test_as_to_et_start_avoids_undeclared_states():
