@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .exceptions import Fr1tassError
@@ -238,10 +239,10 @@ def parse_machine(text: str, strict: bool = True) -> Machine:
     """Parse the line-based machine format.
 
     Directives must appear in the order input, tape, start, accept, mode,
-    optional empty, then any number of trans lines.  The parsed machine is
-    guaranteed to validate cleanly, because the checks made while reading
-    cover every violation code; problems raise ParseError with a line
-    number and, where it applies, a violation code.
+    optional empty, optional states, then any number of trans lines.  The
+    parsed machine is guaranteed to validate cleanly, because the checks
+    made while reading cover every violation code; problems raise
+    ParseError with a line number and, where it applies, a violation code.
 
     With strict off, shape problems still raise but rule violations
     (input letters missing from the tape, unknown letters, rank-raising
@@ -282,6 +283,11 @@ def parse_machine(text: str, strict: bool = True) -> Machine:
             raise ParseError(empty_line, "empty must be true or false")
         accepts_empty = empty_tokens[0] == "true"
 
+    extra_states: list = []
+    got = expect("states", optional=True)
+    if got is not None:
+        extra_states = _letters_of(got[1], got[0], "state")
+
     transitions: dict = {}
     for number, tokens in rest():
         if tokens[0] != "trans:":
@@ -316,7 +322,7 @@ def parse_machine(text: str, strict: bool = True) -> Machine:
         transitions[(q, a)] = (q2, out)
 
     return make_machine(sigma, gamma, start, accepting, transitions, mode,
-                        accepts_empty)
+                        accepts_empty, extra_states)
 
 
 def serialize_machine(m: Machine) -> str:
@@ -325,7 +331,9 @@ def serialize_machine(m: Machine) -> str:
     Transitions keep the machine's order, which for the pruned
     constructions is the order their pruning tail found them from the
     start, so output is stable; parse_machine(serialize_machine(m)) is
-    structurally identical to m.
+    structurally identical to m.  A states line lists, sorted, the
+    declared states that the start, the accepting set and the transitions
+    do not name; a machine with none has no such line.
     """
     def row(directive: str, body: str) -> str:
         return f"{directive + ':':<7} {body}".rstrip()
@@ -340,6 +348,12 @@ def serialize_machine(m: Machine) -> str:
     out.append(row("mode", m.mode.value))
     if m.mode is Mode.AS and m.accepts_empty:
         out.append(row("empty", "true"))
+    first = itemgetter(0)
+    unnamed = m.states.difference((m.start,), m.accepting,
+                                  map(first, m.transitions),
+                                  map(first, m.transitions.values()))
+    if unnamed:
+        out.append(row("states", " ".join(sorted(unnamed))))
     for (q, a), (q2, write) in m.transitions.items():
         out.append(row("trans", f"{q} {a} -> {q2} {write if write is not None else '-'}"))
     return "\n".join(out) + "\n"

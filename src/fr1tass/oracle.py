@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
 from .model import Machine, Mode, Word
-from .simulate import _ACCEPTED, _Compiled, _compile, _core, _decide, accepts
+from .simulate import (_ACCEPTED, _LOOP, _Compiled, _compile, _core, _decide,
+                       accepts)
 
 
 # completion runs after which enumerate_accepted keeps its verdict table
@@ -24,6 +25,9 @@ _MEMO_PROBE_RUNS = 512
 _MEMO_HIT_SHARE = 0.5
 # the most keys a kept table holds; once full, lookups go on
 _MEMO_MAX_KEYS = 1 << 16
+# runs without the verdict table take the queue loop only if at most this
+# share of the probe's runs ended in a loop
+_LOOP_SHARE = 0.125
 
 
 def enumerate_accepted(m: Machine, max_len: int) -> set:
@@ -43,20 +47,9 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     accepted.  A later node with a known key copies the suffixes in the
     range the subtree's words take in the walk-ordered list of words, with
     no completion run.  The table is dropped after the first
-    _MEMO_PROBE_RUNS completion runs if no node has found its key.
-
-    Completion runs share one verdict table keyed by (state, tape) at every
-    sweep boundary they meet.  The machine is deterministic and loop
-    detection is exact, so a boundary's verdict is that of the run through
-    it, even one met inside a streak of unchanged tapes.  After the first
-    _MEMO_PROBE_RUNS completion runs the table is dropped unless more than
-    _MEMO_HIT_SHARE of them ended on a known boundary.  Neither table files
-    keys once it holds _MEMO_MAX_KEYS.
-
-    A completion run goes on from its first sweep's row and appended tape:
-    by simulate._core while the verdict table is kept or from comp.gate
-    letters on, else as a chunked queue run (simulate._decide).  Both cut
-    the loops of a freezing machine, so every run ends in a verdict.
+    _MEMO_PROBE_RUNS completion runs if no node has found its key, and it
+    files no keys once it holds _MEMO_MAX_KEYS.  Each node's completion
+    run goes on from its first sweep, as _CompletionRuns sets out.
 
     The walk and the runs use the verdict form of m (_verdict_form), which
     accepts the same words with no pile of inert letters on its tapes.  A
@@ -64,15 +57,18 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     targets on input letters, closed under transitions without expanding
     AS accepting rows.  A drain erases every letter and stays.  An inert
     letter is no input letter, some cell writes it over another letter,
-    and every live row other than a drain reads it by writing it back and
-    staying, as remove_erasing and et_to_as do with their placeholder.  In
-    AS mode the verdict form erases every inert write.  In ET mode it has
-    a flagged copy of each row: the first inert write keeps its letter and
-    moves the run to the copies, which erase every later one, so a tape
-    holds at most one inert letter, and one exactly when m's holds any.
+    and every live row other than a drain or a row stuck on every letter
+    reads it by writing it back and staying, as remove_erasing and
+    et_to_as do with their placeholder.  In AS mode the verdict form
+    erases every inert write.  In ET mode it has a flagged copy of each
+    row: the first inert write keeps its letter and moves the run to the
+    copies, which erase every later one, so a tape holds at most one inert
+    letter, and one exactly when m's holds any.
     This is exact:
     - inert reads never change the row, so the verdict form's run is m's
       with those steps taken out, and it halts at the same letters;
+    - a row stuck on every letter halts both runs on their next read, and
+      in AS mode a tape emptied before it rejects as the stuck run does;
     - a sweep-start tape is unchanged in m exactly when it is in the
       verdict form, so loop cuts agree;
     - in AS mode, a tape of inert letters alone circles in m and is empty
@@ -98,10 +94,8 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     # where its words start in found
     subtrees: Optional[dict] = {}
     opened = [((comp.start, comp.key_of(appended), max_len), 0)]
-    memo: Optional[dict] = {}
-    passed: Optional[list] = []
-    chunk_memo: dict = {}  # for _core's block loop, shared by every run
-    runs = hits = shared = 0
+    runner = _CompletionRuns(comp)
+    shared = 0
     while stack:
         row, i, mark = stack[-1]
         depth = len(stack) - 1
@@ -141,30 +135,76 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
             opened.append((key, len(found)))
         end = len(appended)
         stack.append((target, 0, end))
-        if memo is None and end < comp.gate:
+        if end < runner.queue_below:
             # the run appends to appended, which the next pass trims to end
             verdict = _decide(comp, target, appended, depth + 1)
         else:
             if subtrees is None:
                 tape = comp.key_of(appended)
-            verdict, last, _, _, _ = _core(comp, target, tape, depth + 1,
-                                           None, None, chunk_memo, memo, passed)
-        if memo is not None:
-            # the probe comes while both tables are kept, so runs count here
-            hits += last is None
-            if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
-                for key in passed:
-                    memo[key] = verdict
-            passed.clear()
-            runs += 1
-            if runs == _MEMO_PROBE_RUNS:
-                if not shared:
-                    subtrees = None
-                if hits <= _MEMO_HIT_SHARE * runs:
-                    memo = passed = None
+            verdict = runner.run(target, tape, depth + 1)
+            # both tables are probed at the same run
+            if runner.runs == _MEMO_PROBE_RUNS and not shared:
+                subtrees = None
         if verdict is _ACCEPTED:
             found.append(tuple(prefix))
     return set(found)
+
+
+class _CompletionRuns:
+    """The completion runs of one enumeration or comparison on comp, a
+    verdict form (_verdict_form).  A run goes on from a first sweep that
+    took steps steps, reached row and appended a list of codes.  A list of
+    fewer than queue_below codes is run by the caller as a chunked queue
+    run, simulate._decide(comp, row, codes, steps), which appends to the
+    list; run() makes every other run by simulate._core.
+
+    The runs share a chunk memo and one verdict table keyed by (state,
+    tape) at every sweep boundary they meet.  The machine is deterministic
+    and loop detection is exact, so a boundary's verdict is that of the
+    run through it, even one met inside a streak of unchanged tapes.
+    After the first _MEMO_PROBE_RUNS runs the table is dropped unless
+    more than _MEMO_HIT_SHARE of them ended on a known boundary.  It files
+    no keys once it holds _MEMO_MAX_KEYS.
+
+    queue_below is 0 while the table is kept.  When it is dropped,
+    queue_below becomes comp.gate, unless more than _LOOP_SHARE of the
+    probe's runs ended in a loop.  _decide cuts a loop only after
+    state_count * L steps that write back, where _core stops at the first
+    repeated sweep boundary and works the cut out, so machines whose runs
+    loop stay with _core.  Both cut the loops of a freezing machine, so
+    every run ends in a verdict."""
+
+    __slots__ = ("comp", "queue_below", "memo", "passed", "chunk_memo",
+                 "runs", "hits", "loops")
+
+    def __init__(self, comp: _Compiled):
+        self.comp = comp
+        self.queue_below = 0
+        self.memo: Optional[dict] = {}
+        self.passed: Optional[list] = []
+        self.chunk_memo: dict = {}  # for _core's block loop
+        self.runs = self.hits = self.loops = 0
+
+    def run(self, row: int, tape, steps: int):
+        """The verdict of a run by _core from row on tape, the appended
+        codes as a key (comp.key_of)."""
+        memo, passed = self.memo, self.passed
+        result, last, _, _, _ = _core(self.comp, row, tape, steps, None, None,
+                                      self.chunk_memo, memo, passed)
+        if memo is not None:
+            self.hits += last is None
+            self.loops += result is _LOOP
+            if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
+                for key in passed:
+                    memo[key] = result
+            passed.clear()
+            self.runs += 1
+            if (self.runs == _MEMO_PROBE_RUNS
+                    and self.hits <= _MEMO_HIT_SHARE * self.runs):
+                self.memo = self.passed = None
+                if self.loops <= _LOOP_SHARE * self.runs:
+                    self.queue_below = self.comp.gate
+        return result
 
 
 def _verdict_form(comp: _Compiled) -> _Compiled:
@@ -181,8 +221,11 @@ def _verdict_form(comp: _Compiled) -> _Compiled:
         if row >= 0 and row not in live:
             live.add(row)
             todo += [next_row[row + c] for c in codes]
-    copiers = [row for row in live if any(  # every live row but the drains
-        next_row[row + c] != row or output[row + c] >= 0 for c in codes)]
+    # every live row but the drains and the rows stuck on every letter
+    copiers = [row for row in live
+               if any(next_row[row + c] != row or output[row + c] >= 0
+                      for c in codes)
+               and any(next_row[row + c] != -1 for c in codes)]
     written = {out for at, out in enumerate(output) if out != at % stride}
     inert = {c for c in written.difference(inputs.values(), (-1,))
              if all(next_row[row + c] == row and output[row + c] == c
@@ -242,17 +285,123 @@ def _word_key(m: Machine) -> Callable[[Word], tuple]:
 def equivalent_up_to(a: Machine, b: Machine,
                      max_len: int) -> Optional[Counterexample]:
     """None when both machines accept the same words up to max_len,
-    otherwise the shortest (then letter-orderwise first) disagreement."""
+    otherwise the shortest disagreement, the first in a's tape order
+    among those.
+
+    One breadth-first walk over the product of the two machines' prefix
+    DAGs, which stops at the first disagreement (Hopcroft and Karp, 1971).
+    A machine's node is its node in enumerate_accepted's walk, on its
+    verdict form: the row its first sweep reached and the tape that sweep
+    appended.  Every word below goes on from there, so the node decides
+    its word's verdict and which suffixes are accepted.  A first sweep
+    that sticks or accepts makes the node False or True: every word below
+    rejected, or accepted.
+
+    Layer d holds each distinct pair of nodes with the first word of
+    length d that reaches it.  Parents are taken in order and letters in
+    a's tape order, so pairs are filed in the order of their first words.
+    So the first pair whose verdicts differ is the answer, and the walk
+    returns there.  A pair of two True or False nodes that agree has no
+    disagreement below and leaves the walk.  Each node's verdict is one
+    completion run (_CompletionRuns), kept per node and machine.  The
+    empty word's is the ET or accepts_empty rule instead: the root node
+    can come back deeper, where in AS mode its run rejects.
+
+    Pairs are keyed while they repeat: if none is filed twice among the
+    first _MEMO_PROBE_RUNS, the layers after that are plain lists.
+    """
     if a.input_alphabet != b.input_alphabet:
         raise AlphabetMismatchError("machines read different input alphabets")
-    in_a = enumerate_accepted(a, max_len)
-    in_b = enumerate_accepted(b, max_len)
-    diff = in_a ^ in_b
-    if not diff:
-        return None
-    n = min(map(len, diff))
-    w = min((w for w in diff if len(w) == n), key=_word_key(a))
-    return Counterexample(word=w, in_first=w in in_a, in_second=w in in_b)
+    if max_len < 0:
+        raise ValueError("max_len must be at least 0")
+    comps = _compile(a), _compile(b)  # refuses either before any run
+    sigma = sorted(a.input_alphabet, key=comps[0].code.__getitem__)
+    (root_a, kids_a, verdict_a), (root_b, kids_b, verdict_b) = (
+        _product_side(_verdict_form(c), sigma) for c in comps)
+    empty = [m.mode is Mode.ET or m.accepts_empty for m in (a, b)]
+    if empty[0] != empty[1]:
+        return Counterexample((), *empty)
+    # each layer's (pair, link): link is (parent's link, letter), so the
+    # words share their prefixes
+    layer = [((root_a, root_b), None)]
+    keyed, filed, repeats = True, 0, 0
+    for depth in range(1, max_len + 1):
+        below = {} if keyed else []
+        for (node_a, node_b), link in layer:
+            for x, to_a, to_b in zip(sigma, kids_a(node_a), kids_b(node_b)):
+                if keyed:
+                    pair = to_a, to_b
+                    if pair in below:
+                        repeats += 1
+                        continue
+                in_a = verdict_a(to_a, depth)
+                in_b = verdict_b(to_b, depth)
+                if in_a is not in_b:
+                    return Counterexample(_spell((link, x)), in_a, in_b)
+                if to_a.__class__ is bool and to_b.__class__ is bool:
+                    continue
+                if keyed:
+                    below[pair] = link, x
+                else:
+                    below.append(((to_a, to_b), (link, x)))
+        if keyed:
+            filed += len(below)
+            layer = below.items()
+            keyed = repeats > 0 or filed < _MEMO_PROBE_RUNS
+        else:
+            layer = below
+    return None
+
+
+def _product_side(comp: _Compiled, sigma: list) -> tuple:
+    """(root, kids, verdict) of one machine in equivalent_up_to's walk,
+    on comp, its verdict form.  kids(node) lists a node's children in the
+    order of sigma; verdict(node, depth) is the verdict of a node of depth
+    at least 1, kept per node."""
+    next_row, output = comp.next_row, comp.output
+    codes = [comp.code[x] for x in sigma]
+    letter = [comp.key_of((c,)) for c in range(comp.stride)]
+    runner, known = _CompletionRuns(comp), {}
+
+    def kids(node) -> list:
+        if node.__class__ is bool:
+            return [node] * len(codes)
+        row, tape = node
+        out = []
+        for c in codes:
+            at = row + c
+            target = next_row[at]
+            if target < 0:  # stuck, or an accepting state entered
+                out.append(target != -1)
+            elif output[at] >= 0:
+                out.append((target, tape + letter[output[at]]))
+            else:
+                out.append((target, tape))
+        return out
+
+    def verdict(node, depth: int) -> bool:
+        if node.__class__ is bool:
+            return node
+        known_verdict = known.get(node)
+        if known_verdict is None:
+            row, tape = node
+            if len(tape) < runner.queue_below:
+                result = _decide(comp, row, [*tape], depth)
+            else:
+                result = runner.run(row, tape, depth)
+            known_verdict = known[node] = result is _ACCEPTED
+        return known_verdict
+
+    return (comp.start, comp.key_of(())), kids, verdict
+
+
+def _spell(link) -> Word:
+    """The word of a walk link (see equivalent_up_to)."""
+    word = []
+    while link is not None:
+        link, x = link
+        word.append(x)
+    return tuple(reversed(word))
 
 
 def matches_predicate_up_to(m: Machine, predicate: Callable[[Word], bool],

@@ -4,6 +4,7 @@ import itertools
 import random
 
 from fr1tass.model import Machine, Mode, OrderedAlphabet, make_machine
+from fr1tass.oracle import Counterexample, enumerate_accepted
 from fr1tass.simulate import (Halted, HaltReason, RunResult, SweepCase,
                               SweepRecord, Verdict, accepts,
                               initial_configuration, step)
@@ -71,6 +72,19 @@ def run_language(m, max_len: int) -> set:
     """Accepted words up to max_len, one full run per word."""
     return {w for w in words(sorted(m.input_alphabet), max_len)
             if accepts(m, w)}
+
+
+def equivalent_by_sets(a, b, max_len: int):
+    """The slow mirror of equivalent_up_to, by its definition: both
+    languages up to max_len in full, and the first word of their symmetric
+    difference by length, then letter by letter in a's tape order."""
+    in_a = enumerate_accepted(a, max_len)
+    in_b = enumerate_accepted(b, max_len)
+    diff = in_a ^ in_b
+    if not diff:
+        return None
+    w = min(diff, key=lambda w: (len(w), *map(a.tape.rank, w)))
+    return Counterexample(word=w, in_first=w in in_a, in_second=w in in_b)
 
 
 def random_machine(seed: int):

@@ -6,12 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from common import random_machine
+from common import random_machine, words
 from fr1tass.exceptions import Fr1tassError
 from fr1tass.gallery import GALLERY, power_of_two
 from fr1tass.model import (Machine, Mode, OrderedAlphabet, ParseError,
                            Violation, ViolationCode, fresh_name, make_machine,
                            parse_machine, serialize_machine, to_dot, validate)
+from fr1tass.simulate import run
+from fr1tass.transform import DfaSpec, from_dfa
 
 REFERENCE_TEXT = """\
 input:  a
@@ -286,6 +288,45 @@ def test_empty_word_flag_round_trips():
     text = serialize_machine(m)
     assert "empty:  true" in text.splitlines()
     assert parse_machine(text).accepts_empty
+
+
+def test_unnamed_states_round_trip():
+    """random_machine declares states that nothing may name, as seeds 78,
+    137, 153 and 165 do.  Their files list them on a states line, and no
+    other file has one.  The loop cut counts every state, so runs keep
+    their steps across the round trip."""
+    listed = []
+    for seed in range(200):
+        m = random_machine(seed)
+        text = serialize_machine(m)
+        back = parse_machine(text)
+        assert back == m, seed
+        if any(line.startswith("states:") for line in text.splitlines()):
+            listed.append(seed)
+            for w in words(sorted(m.input_alphabet), 4):
+                assert run(back, w) == run(m, w), (seed, w)
+    assert listed == [78, 137, 153, 165]
+
+
+def test_from_dfa_keeps_an_isolated_state():
+    dfa = DfaSpec(alphabet=("a",), states=frozenset({"s", "lone"}),
+                  start="s", accepting=frozenset({"s"}),
+                  transitions={("s", "a"): "s"})
+    m = from_dfa(dfa)
+    text = serialize_machine(m)
+    assert "states: lone" in text.splitlines()
+    assert parse_machine(text) == m
+
+
+def test_parse_reads_the_states_line_in_its_place():
+    head = "input: a\ntape: a\nstart: s\naccept:\nmode: ET\n"
+    assert parse_machine(head + "states: t u\n").states == {"s", "t", "u"}
+    for text, reason in [
+            (head + "states: t t\n", "duplicate state 't'"),
+            (head + "states: t ->\n", "reserved token '->'"),
+            (head + "trans: s a -> s a\nstates: t\n", "expected 'trans:'")]:
+        with pytest.raises(ParseError, match=reason):
+            parse_machine(text)
 
 
 def test_comments_and_blank_lines_are_ignored():

@@ -1,5 +1,6 @@
 """Enumeration, comparison, predicates, and the unary classifier."""
 
+import random
 import sys
 from dataclasses import replace
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import (all_a, census_machines, even_length, flip_flop,
-                    pure_loop, random_machine, rotating_countdown,
-                    stepped_verdict, undeclared_chain, words)
+from common import (all_a, census_machines, equivalent_by_sets, even_length,
+                    flip_flop, odd_length, pure_loop, random_machine,
+                    rotating_countdown, stepped_verdict, two_hash_dfa,
+                    undeclared_chain, words)
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
@@ -25,7 +27,9 @@ from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
 from fr1tass.pcp import (PcpInstance, encode_pcp_candidate,
                          pcp_solution_encoding)
 from fr1tass.simulate import Verdict, accepts
-from fr1tass.transform import as_to_et, complement, et_to_as, remove_erasing
+from fr1tass.transform import (DfaSpec, as_to_et, complement, et_to_as,
+                               from_dfa, intersect_sequential, remove_erasing,
+                               union)
 
 INSTANCE = PcpInstance(u_words=("a", "ab"), v_words=("aa", "b"),
                        base_alphabet=("a", "b"))
@@ -203,6 +207,19 @@ def test_enumerate_drops_the_subtree_table_at_the_probe(monkeypatch):
     assert sum(walk_keys) == 1 + _MEMO_PROBE_RUNS
 
 
+def test_enumerate_keeps_the_sweep_loop_where_runs_loop(monkeypatch):
+    """Most of the union's probe runs loop.  Its verdict table is dropped,
+    but its later runs stay with _core, which cuts a loop at the first
+    repeated sweep boundary, where a queue run would step on through
+    state_count times the tape."""
+    m = union(center_language(), et_to_as(balance_ab_et()))
+    used = _table_use(monkeypatch)
+    assert enumerate_accepted(m, 10) == {
+        w for w in words("ab", 10) if is_center_a(w) or is_balanced_ab(w)}
+    assert used[False] > 0
+    assert used["keyed"] == used[True] + used[False]
+
+
 def test_enumerate_census():
     for m in census_machines():
         assert enumerate_accepted(m, 5) == _enumerate_naive(m, 5), m
@@ -229,6 +246,10 @@ def test_enumerate_tape_wider_than_a_byte():
     got = enumerate_accepted(m, 6)
     assert got == _enumerate_naive(m, 6)
     assert got == {w for w in words("ab", 6) if is_balanced_ab(w)}
+    # the walk's nodes hold tuple tapes here
+    assert equivalent_up_to(m, balance_ab_et(), 8) is None
+    assert equivalent_up_to(m, even_length(), 8) == equivalent_by_sets(
+        m, even_length(), 8)
 
 
 @pytest.mark.parametrize("k", [2, 5, 20])
@@ -358,18 +379,23 @@ def _rewritten(m) -> bool:
 def test_verdict_form_of_constructions_on_random_machines():
     """The bridges, remove_erasing and complement of random machines, in
     both modes: many write an inert placeholder, which the verdict form
-    keeps off the tape, and every one enumerates like one run per word."""
-    rewritten = {Mode.AS: 0, Mode.ET: 0}
+    keeps off the tape, and every one enumerates like one run per word.
+    A complement's copies of the operand's accepting states are stuck on
+    every letter and need not copy the placeholder, so 195 of the 300
+    complements are rewritten."""
+    rewritten = {Mode.AS: 0, Mode.ET: 0, "complement": 0}
     for seed in range(300):
         m = random_machine(seed)
         a = et_to_as(m) if m.mode is Mode.ET else m
         r = remove_erasing(a)
-        for x in (m, as_to_et(m) if a is m else a, r, complement(r),
-                  as_to_et(r)):
+        c = complement(r)
+        for x in (m, as_to_et(m) if a is m else a, r, c, as_to_et(r)):
             n = 3 if len(x.input_alphabet) == 3 else 5
             assert enumerate_accepted(x, n) == _enumerate_naive(x, n), seed
             rewritten[x.mode] += _rewritten(x)
-    assert min(rewritten.values()) >= 300, rewritten
+        rewritten["complement"] += _rewritten(c)
+    assert min(rewritten[Mode.AS], rewritten[Mode.ET]) >= 300, rewritten
+    assert rewritten["complement"] == 195
 
 
 def test_verdict_form_keeps_one_placeholder_on_et_tapes():
@@ -402,6 +428,18 @@ def test_verdict_form_keeps_one_placeholder_on_et_tapes():
 def test_verdict_form_leaves_machines_without_inert_writes(build):
     """as_to_et(center_language) has a placeholder that nothing writes."""
     assert not _rewritten(build())
+
+
+def test_verdict_form_skips_rows_stuck_on_every_letter():
+    """Rows stuck on every letter halt on the placeholder as on any other
+    letter, so they need not copy it: this complement has 8 of them."""
+    m = complement(remove_erasing(et_to_as(balance_ab_et())))
+    comp = simulate._compile(m)
+    stuck = [row for row in range(0, len(comp.next_row), comp.stride)
+             if set(comp.next_row[row:row + comp.stride]) == {-1}]
+    assert len(stuck) == 8
+    assert _rewritten(m)
+    assert enumerate_accepted(m, 8) == _enumerate_naive(m, 8)
 
 
 @pytest.mark.parametrize("mode", [Mode.AS, Mode.ET])
@@ -443,6 +481,19 @@ def test_equivalent_up_to_orders_by_rank_after_length():
     assert cex.in_first and not cex.in_second
 
 
+def test_equivalent_up_to_orders_by_the_first_machines_tape():
+    """The machines disagree on both one-letter words.  b ranks below a
+    on the first machine's tape, so b is the counterexample."""
+    first = make_machine(sigma=("a", "b"), tape=("b", "a"), start="s",
+                         accepting=("t",), mode=Mode.AS,
+                         transitions={("s", "a"): ("t", "a")})
+    second = make_machine(sigma=("a", "b"), tape=("a", "b"), start="s",
+                          accepting=("t",), mode=Mode.AS,
+                          transitions={("s", "b"): ("t", "b")})
+    assert equivalent_up_to(first, second, 4) == Counterexample(
+        word=("b",), in_first=False, in_second=True)
+
+
 def test_balance_bridge_is_equivalent():
     assert equivalent_up_to(balance_ab_et(), et_to_as(balance_ab_et()), 10) is None
 
@@ -459,6 +510,107 @@ def test_empty_word_counterexample():
 
 
 # --------------------------------------------------------------- predicates
+
+def test_equivalent_up_to_rejects_negative_bound():
+    with pytest.raises(ValueError):
+        equivalent_up_to(balance_ab_et(), even_length(), -1)
+
+
+def test_equivalent_up_to_stops_at_the_first_disagreement(monkeypatch):
+    """balance takes a and even length does not: layer 1 decides it, with
+    one completion run per machine, however long max_len is."""
+    used = _table_use(monkeypatch)
+    cex = equivalent_up_to(balance_ab_et(), even_length(), 24)
+    assert cex == Counterexample(word=("a",), in_first=True, in_second=False)
+    assert used[True] + used[False] == 2
+
+
+def test_equivalent_up_to_runs_each_node_once(monkeypatch):
+    """The two balance machines share nodes across words and depths, so
+    the walk makes fewer completion runs than enumerating both does."""
+    b, ba = balance_ab_et(), et_to_as(balance_ab_et())
+    used = _table_use(monkeypatch)
+    assert equivalent_up_to(b, ba, 12) is None
+    walk = used[True] + used[False]
+    enumerate_accepted(b, 12)
+    enumerate_accepted(ba, 12)
+    assert walk == 2203 < used[True] + used[False] - walk == 3524
+
+
+@pytest.fixture(params=[_MEMO_PROBE_RUNS, 1], ids=["probe", "short_probe"])
+def walk_probe(request, monkeypatch):
+    """The default probe, and one so short that the walk stops keying
+    pairs after the first layer unless two of its pairs are the same."""
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", request.param)
+
+
+def test_equivalent_up_to_matches_sets_on_census_pairs(walk_probe):
+    machines = list(census_machines())
+    rng = random.Random(0)
+    for n in (0, 3, 5):
+        for _ in range(1000):
+            a, b = rng.choice(machines), rng.choice(machines)
+            assert equivalent_up_to(a, b, n) == equivalent_by_sets(a, b, n)
+
+
+def test_equivalent_up_to_matches_sets_on_random_constructions(walk_probe):
+    """Each random machine against its bridge, remove_erasing and the
+    complement of that, in both orders."""
+    for seed in range(150):
+        m = random_machine(seed)
+        a = et_to_as(m) if m.mode is Mode.ET else m
+        r = remove_erasing(a)
+        for x in (as_to_et(m) if a is m else a, r, complement(r)):
+            for n in (4, 6):
+                for first, second in ((m, x), (x, m)):
+                    assert (equivalent_up_to(first, second, n)
+                            == equivalent_by_sets(first, second, n)), seed
+
+
+def _gallery_groups() -> list:
+    """Gallery machines, their bridges and a few constructions, grouped by
+    input alphabet, each with the length to compare them up to."""
+    center, balance = center_language(), balance_ab_et()
+    balance_as = et_to_as(balance)
+    return [
+        ([center, balance, balance_as, as_to_et(center), even_length(),
+          odd_length(), union(center, balance_as),
+          union(center, from_dfa(_six_letters_then("b"))),
+          intersect_sequential(center, balance_as),
+          complement(remove_erasing(center))], 8),
+        ([power_of_two(), all_a(), remove_erasing(power_of_two()),
+          random_unary_noaux(3, 4)], 40),
+        ([marked_copy(), as_to_et(marked_copy()), from_dfa(two_hash_dfa())],
+         6),
+    ]
+
+
+def _six_letters_then(last: str) -> DfaSpec:
+    """Words over a, b of length 6 whose last letter is last."""
+    t = {(f"n{i}", x): f"n{i + 1}" for i in range(5) for x in "ab"}
+    t.update({("n5", x): "hit" if x == last else "dead" for x in "ab"})
+    t.update({(q, x): "dead" for q in ("hit", "dead") for x in "ab"})
+    return DfaSpec(alphabet=("a", "b"),
+                   states=frozenset({*(f"n{i}" for i in range(6)), "hit",
+                                     "dead"}),
+                   start="n0", accepting=frozenset({"hit"}), transitions=t)
+
+
+def test_equivalent_up_to_finds_a_deep_disagreement(walk_probe):
+    """The union takes the even-length word aaaaab, which center does
+    not."""
+    center = center_language()
+    more = union(center, from_dfa(_six_letters_then("b")))
+    assert equivalent_up_to(center, more, 8) == Counterexample(
+        word=tuple("aaaaab"), in_first=False, in_second=True)
+
+
+def test_equivalent_up_to_matches_sets_on_gallery_pairs(walk_probe):
+    for group, n in _gallery_groups():
+        for a in group:
+            for b in group:
+                assert equivalent_up_to(a, b, n) == equivalent_by_sets(a, b, n)
+
 
 def test_gallery_machines_match_their_predicates():
     checks = [
