@@ -15,8 +15,7 @@ from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
 from .model import Machine, Mode, Word
-from .simulate import (_ACCEPTED, _LOOP, _Compiled, _compile, _core, _decide,
-                       accepts)
+from .simulate import _ACCEPTED, _Compiled, _compile, _core, _decide, accepts
 
 
 # completion runs after which enumerate_accepted keeps its verdict table
@@ -25,9 +24,9 @@ _MEMO_PROBE_RUNS = 512
 _MEMO_HIT_SHARE = 0.5
 # the most keys a kept table holds; once full, lookups go on
 _MEMO_MAX_KEYS = 1 << 16
-# runs without the verdict table take the queue loop only if at most this
-# share of the probe's runs ended in a loop
-_LOOP_SHARE = 0.125
+# pairs equivalent_up_to files before it keeps its layers as plain lists,
+# unless one of them was filed twice
+_PAIR_PROBE = 512
 
 
 def enumerate_accepted(m: Machine, max_len: int) -> set:
@@ -42,13 +41,13 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
 
     The walk is over a DAG: a finished subtree is filed under (the row its
     node's first sweep reached, the tape that sweep appended, max_len -
-    depth).  Every word below the node goes on with that first sweep from
-    the same configuration, so the key decides which suffixes are
-    accepted.  A later node with a known key copies the suffixes in the
-    range the subtree's words take in the walk-ordered list of words, with
-    no completion run.  The table is dropped after the first
-    _MEMO_PROBE_RUNS completion runs if no node has found its key, and it
-    files no keys once it holds _MEMO_MAX_KEYS.  Each node's completion
+    depth), the first sweep stepping by _first_steps.  Every word below
+    the node goes on with that first sweep from the same configuration,
+    so the key decides which suffixes are accepted.  A later node with a
+    known key copies the suffixes in the range the subtree's words take in
+    the walk-ordered list of words, with no completion run.  The table is
+    dropped after the first _MEMO_PROBE_RUNS completion runs if no node
+    has found its key, and it files no keys once it holds _MEMO_MAX_KEYS.  Each node's completion
     run goes on from its first sweep, as _CompletionRuns sets out.
 
     The walk and the runs use the verdict form of m (_verdict_form), which
@@ -83,8 +82,9 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
         raise ValueError("max_len must be at least 0")
     comp = _verdict_form(_compile(m))
     found = [()] if m.mode is Mode.ET or m.accepts_empty else []
-    sigma = sorted(m.input_alphabet, key=m.tape.rank)
+    sigma = sorted(m.input_alphabet, key=comp.code.__getitem__)
     codes = [comp.code[a] for a in sigma]
+    steps = _first_steps(comp)
     # the current node's word and what its first sweep wrote
     prefix, appended = [], []
     # per node on the path from the root: the row its first sweep reached,
@@ -108,20 +108,18 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
                     subtrees[key] = slice(start, len(found))
             continue
         stack[-1] = (row, i + 1, mark)
-        at = row + codes[i]
-        target = comp.next_row[at]
-        if target == -1:
+        step = steps[row + codes[i]]
+        if step is False:
             continue
-        if target < -1:
-            # an accepting state entered during the first sweep
+        if step is True:
             head = (*prefix, sigma[i])
             for r in range(max_len - depth):
                 found.extend(head + tail
                              for tail in itertools.product(sigma, repeat=r))
             continue
+        target, written = step
         prefix.append(sigma[i])
-        if comp.output[at] >= 0:
-            appended.append(comp.output[at])
+        appended += written
         if subtrees is not None:
             tape = comp.key_of(appended)  # appended as a key, for _core too
             key = target, tape, max_len - depth - 1
@@ -166,16 +164,12 @@ class _CompletionRuns:
     more than _MEMO_HIT_SHARE of them ended on a known boundary.  It files
     no keys once it holds _MEMO_MAX_KEYS.
 
-    queue_below is 0 while the table is kept.  When it is dropped,
-    queue_below becomes comp.gate, unless more than _LOOP_SHARE of the
-    probe's runs ended in a loop.  _decide cuts a loop only after
-    state_count * L steps that write back, where _core stops at the first
-    repeated sweep boundary and works the cut out, so machines whose runs
-    loop stay with _core.  Both cut the loops of a freezing machine, so
-    every run ends in a verdict."""
+    queue_below is 0 while the table is kept and comp.gate once it is
+    dropped.  _core and _decide both cut the loops of a freezing machine,
+    so every run ends in a verdict."""
 
     __slots__ = ("comp", "queue_below", "memo", "passed", "chunk_memo",
-                 "runs", "hits", "loops")
+                 "runs", "hits")
 
     def __init__(self, comp: _Compiled):
         self.comp = comp
@@ -183,7 +177,7 @@ class _CompletionRuns:
         self.memo: Optional[dict] = {}
         self.passed: Optional[list] = []
         self.chunk_memo: dict = {}  # for _core's block loop
-        self.runs = self.hits = self.loops = 0
+        self.runs = self.hits = 0
 
     def run(self, row: int, tape, steps: int):
         """The verdict of a run by _core from row on tape, the appended
@@ -193,7 +187,6 @@ class _CompletionRuns:
                                       self.chunk_memo, memo, passed)
         if memo is not None:
             self.hits += last is None
-            self.loops += result is _LOOP
             if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
                 for key in passed:
                     memo[key] = result
@@ -202,8 +195,7 @@ class _CompletionRuns:
             if (self.runs == _MEMO_PROBE_RUNS
                     and self.hits <= _MEMO_HIT_SHARE * self.runs):
                 self.memo = self.passed = None
-                if self.loops <= _LOOP_SHARE * self.runs:
-                    self.queue_below = self.comp.gate
+                self.queue_below = self.comp.gate
         return result
 
 
@@ -239,7 +231,8 @@ def _verdict_form(comp: _Compiled) -> _Compiled:
         outs = list(output)
         for at in cells:
             outs[at] = -1
-        form = replace(comp, output=tuple(outs), blocks=None)
+        form = replace(comp, output=tuple(outs), blocks=None,
+                       first_steps=None)
     else:
         # a flagged copy of each row, from size on, which the first inert
         # write moves to and which erases every later one
@@ -250,7 +243,8 @@ def _verdict_form(comp: _Compiled) -> _Compiled:
             outs[size + at] = -1
         form = replace(comp, next_row=tuple(rows), output=tuple(outs),
                        states=comp.states * 2,
-                       state_count=2 * comp.state_count, blocks=None)
+                       state_count=2 * comp.state_count, blocks=None,
+                       first_steps=None)
     object.__setattr__(comp, "verdict", form)
     return form
 
@@ -302,13 +296,17 @@ def equivalent_up_to(a: Machine, b: Machine,
     a's tape order, so pairs are filed in the order of their first words.
     So the first pair whose verdicts differ is the answer, and the walk
     returns there.  A pair of two True or False nodes that agree has no
-    disagreement below and leaves the walk.  Each node's verdict is one
-    completion run (_CompletionRuns), kept per node and machine.  The
-    empty word's is the ET or accepts_empty rule instead: the root node
-    can come back deeper, where in AS mode its run rejects.
+    disagreement below and leaves the walk, and so do the pairs of the
+    last layer.  A node's verdict is a completion run (_CompletionRuns).
+    The empty word's is the ET or accepts_empty rule instead: the root
+    node can come back deeper, where in AS mode its run rejects.
 
     Pairs are keyed while they repeat: if none is filed twice among the
-    first _MEMO_PROBE_RUNS, the layers after that are plain lists.
+    first _PAIR_PROBE, the layers after that are plain lists.  While pairs
+    are keyed, each machine keeps its nodes' verdicts, up to
+    _MEMO_MAX_KEYS of them, so a node shared across words and depths has
+    one run.  After that, nodes are taken to be as unshared as the pairs
+    and every pair's nodes are run.
     """
     if a.input_alphabet != b.input_alphabet:
         raise AlphabetMismatchError("machines read different input alphabets")
@@ -325,6 +323,7 @@ def equivalent_up_to(a: Machine, b: Machine,
     # words share their prefixes
     layer = [((root_a, root_b), None)]
     keyed, filed, repeats = True, 0, 0
+    known_a, known_b = {}, {}  # kept while pairs are keyed
     for depth in range(1, max_len + 1):
         below = {} if keyed else []
         for (node_a, node_b), link in layer:
@@ -334,11 +333,12 @@ def equivalent_up_to(a: Machine, b: Machine,
                     if pair in below:
                         repeats += 1
                         continue
-                in_a = verdict_a(to_a, depth)
-                in_b = verdict_b(to_b, depth)
+                in_a = verdict_a(to_a, depth, known_a)
+                in_b = verdict_b(to_b, depth, known_b)
                 if in_a is not in_b:
                     return Counterexample(_spell((link, x)), in_a, in_b)
-                if to_a.__class__ is bool and to_b.__class__ is bool:
+                if depth == max_len or (to_a.__class__ is bool
+                                        and to_b.__class__ is bool):
                     continue
                 if keyed:
                     below[pair] = link, x
@@ -347,21 +347,43 @@ def equivalent_up_to(a: Machine, b: Machine,
         if keyed:
             filed += len(below)
             layer = below.items()
-            keyed = repeats > 0 or filed < _MEMO_PROBE_RUNS
+            keyed = repeats > 0 or filed < _PAIR_PROBE
+            if not keyed:
+                known_a = known_b = None
         else:
             layer = below
     return None
 
 
+def _first_steps(comp: _Compiled) -> tuple:
+    """The step of a first sweep from each cell of comp, a verdict form:
+    False where it gets stuck, True where it enters an accepting state,
+    else the row it reaches and the letters it appends, as a key
+    (comp.key_of) of none or one code.  The prefix walks of
+    enumerate_accepted and equivalent_up_to step by it.  A stuck or
+    accepting first sweep has every word below it rejected, or accepted.
+    Built on first use and kept on comp."""
+    if comp.first_steps is None:
+        key_of = comp.key_of
+        letter, none = [key_of((c,)) for c in range(comp.stride)], key_of(())
+        object.__setattr__(comp, "first_steps", tuple(
+            target != -1 if target < 0
+            else (target, letter[out] if out >= 0 else none)
+            for target, out in zip(comp.next_row, comp.output)))
+    return comp.first_steps
+
+
 def _product_side(comp: _Compiled, sigma: list) -> tuple:
     """(root, kids, verdict) of one machine in equivalent_up_to's walk,
-    on comp, its verdict form.  kids(node) lists a node's children in the
-    order of sigma; verdict(node, depth) is the verdict of a node of depth
-    at least 1, kept per node."""
-    next_row, output = comp.next_row, comp.output
-    codes = [comp.code[x] for x in sigma]
-    letter = [comp.key_of((c,)) for c in range(comp.stride)]
-    runner, known = _CompletionRuns(comp), {}
+    on comp, its verdict form.  A node is the row its first sweep reached
+    and the tape that sweep appended, as a key, or False or True when the
+    first sweep halted (_first_steps); those are their own children.
+    kids(node) lists a node's children in the order of sigma.
+    verdict(node, depth, known) is the verdict of a node of depth at least
+    1.  known, the caller's dict from node to verdict, keeps it up to
+    _MEMO_MAX_KEYS nodes, or is None to keep nothing."""
+    steps, codes = _first_steps(comp), [comp.code[x] for x in sigma]
+    runner = _CompletionRuns(comp)
 
     def kids(node) -> list:
         if node.__class__ is bool:
@@ -369,28 +391,29 @@ def _product_side(comp: _Compiled, sigma: list) -> tuple:
         row, tape = node
         out = []
         for c in codes:
-            at = row + c
-            target = next_row[at]
-            if target < 0:  # stuck, or an accepting state entered
-                out.append(target != -1)
-            elif output[at] >= 0:
-                out.append((target, tape + letter[output[at]]))
+            step = steps[row + c]
+            if step.__class__ is bool:
+                out.append(step)
             else:
-                out.append((target, tape))
+                target, written = step
+                out.append((target, tape + written))
         return out
 
-    def verdict(node, depth: int) -> bool:
+    def verdict(node, depth: int, known: Optional[dict]) -> bool:
         if node.__class__ is bool:
             return node
-        known_verdict = known.get(node)
-        if known_verdict is None:
-            row, tape = node
-            if len(tape) < runner.queue_below:
-                result = _decide(comp, row, [*tape], depth)
-            else:
-                result = runner.run(row, tape, depth)
-            known_verdict = known[node] = result is _ACCEPTED
-        return known_verdict
+        kept = None if known is None else known.get(node)
+        if kept is not None:
+            return kept
+        row, tape = node
+        if len(tape) < runner.queue_below:
+            result = _decide(comp, row, [*tape], depth)
+        else:
+            result = runner.run(row, tape, depth)
+        accepted = result is _ACCEPTED
+        if known is not None and len(known) < _MEMO_MAX_KEYS:
+            known[node] = accepted
+        return accepted
 
     return (comp.start, comp.key_of(())), kids, verdict
 

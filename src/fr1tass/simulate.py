@@ -186,8 +186,9 @@ class _Compiled:
     letters that are one Latin-1 character, encoded, and the
     bytes.translate table that codes them; None with tuples.  Sweeps over
     at least ``gate`` letters take the block loop, on bytes only.
-    ``blocks`` and ``verdict`` (see oracle._verdict_form) are built on
-    first use and kept."""
+    ``blocks``, ``verdict`` (see oracle._verdict_form) and
+    ``first_steps`` (see oracle._first_steps) are built on first use and
+    kept."""
 
     letters: tuple
     code: dict
@@ -205,6 +206,7 @@ class _Compiled:
     input_bytes: Optional[tuple]
     blocks: Optional[tuple] = None
     verdict: Optional[_Compiled] = None
+    first_steps: Optional[tuple] = None
 
 
 # The gate of a machine with at most 256 letters; on shorter tapes blocks

@@ -17,8 +17,9 @@ from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
                              power_of_two, random_unary_noaux)
 from fr1tass.model import Mode, make_machine
-from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
-                            UnaryKind, _enumerate_naive, classify_unary_noaux,
+from fr1tass.oracle import (_MEMO_PROBE_RUNS, _PAIR_PROBE, Counterexample,
+                            UnaryClass, UnaryKind, _enumerate_naive,
+                            classify_unary_noaux,
                             enumerate_accepted, equivalent_up_to,
                             has_strongly_equivalent_states, is_balanced_ab,
                             is_center_a, is_marked_copy, is_palindrome,
@@ -205,19 +206,6 @@ def test_enumerate_drops_the_subtree_table_at_the_probe(monkeypatch):
     assert used["keyed"] == _MEMO_PROBE_RUNS
     # the walk keys the root and each node up to the probe, and no later one
     assert sum(walk_keys) == 1 + _MEMO_PROBE_RUNS
-
-
-def test_enumerate_keeps_the_sweep_loop_where_runs_loop(monkeypatch):
-    """Most of the union's probe runs loop.  Its verdict table is dropped,
-    but its later runs stay with _core, which cuts a loop at the first
-    repeated sweep boundary, where a queue run would step on through
-    state_count times the tape."""
-    m = union(center_language(), et_to_as(balance_ab_et()))
-    used = _table_use(monkeypatch)
-    assert enumerate_accepted(m, 10) == {
-        w for w in words("ab", 10) if is_center_a(w) or is_balanced_ab(w)}
-    assert used[False] > 0
-    assert used["keyed"] == used[True] + used[False]
 
 
 def test_enumerate_census():
@@ -537,11 +525,26 @@ def test_equivalent_up_to_runs_each_node_once(monkeypatch):
     assert walk == 2203 < used[True] + used[False] - walk == 3524
 
 
-@pytest.fixture(params=[_MEMO_PROBE_RUNS, 1], ids=["probe", "short_probe"])
+def test_equivalent_up_to_node_verdicts_stop_at_the_cap(monkeypatch):
+    """With room for 64 node verdicts per machine, nodes past them are run
+    again where they come back, and the answers stay the same."""
+    monkeypatch.setattr(oracle, "_MEMO_MAX_KEYS", 64)
+    b, ba = balance_ab_et(), et_to_as(balance_ab_et())
+    used = _table_use(monkeypatch)
+    assert equivalent_up_to(b, ba, 12) is None
+    assert used[True] + used[False] > 2203
+    group, n = _gallery_groups()[0]
+    for first in group:
+        for second in group:
+            assert (equivalent_up_to(first, second, n)
+                    == equivalent_by_sets(first, second, n))
+
+
+@pytest.fixture(params=[_PAIR_PROBE, 1], ids=["probe", "short_probe"])
 def walk_probe(request, monkeypatch):
-    """The default probe, and one so short that the walk stops keying
+    """The default pair probe, and one so short that the walk stops keying
     pairs after the first layer unless two of its pairs are the same."""
-    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", request.param)
+    monkeypatch.setattr(oracle, "_PAIR_PROBE", request.param)
 
 
 def test_equivalent_up_to_matches_sets_on_census_pairs(walk_probe):
