@@ -24,9 +24,6 @@ _MEMO_PROBE_RUNS = 512
 _MEMO_HIT_SHARE = 0.5
 # the most keys a kept table holds; once full, lookups go on
 _MEMO_MAX_KEYS = 1 << 16
-# pairs equivalent_up_to files before it keeps its layers as plain lists,
-# unless one of them was filed twice
-_PAIR_PROBE = 512
 
 
 def enumerate_accepted(m: Machine, max_len: int) -> set:
@@ -156,10 +153,11 @@ class _CompletionRuns:
     run, simulate._decide(comp, row, codes, steps), which appends to the
     list; run() makes every other run by simulate._core.
 
-    The runs share a chunk memo and one verdict table keyed by (state,
-    tape) at every sweep boundary they meet.  The machine is deterministic
-    and loop detection is exact, so a boundary's verdict is that of the
-    run through it, even one met inside a streak of unchanged tapes.
+    The runs share a chunk memo and one verdict table, memo, from the
+    (state, tape) of every sweep boundary they meet to its verdict.  The
+    machine is deterministic and loop detection is exact, so a boundary's
+    verdict is that of the run through it, even one met inside a streak
+    of unchanged tapes.
     After the first _MEMO_PROBE_RUNS runs the table is dropped unless
     more than _MEMO_HIT_SHARE of them ended on a known boundary.  It files
     no keys once it holds _MEMO_MAX_KEYS.
@@ -297,16 +295,10 @@ def equivalent_up_to(a: Machine, b: Machine,
     So the first pair whose verdicts differ is the answer, and the walk
     returns there.  A pair of two True or False nodes that agree has no
     disagreement below and leaves the walk, and so do the pairs of the
-    last layer.  A node's verdict is a completion run (_CompletionRuns).
-    The empty word's is the ET or accepts_empty rule instead: the root
-    node can come back deeper, where in AS mode its run rejects.
-
-    Pairs are keyed while they repeat: if none is filed twice among the
-    first _PAIR_PROBE, the layers after that are plain lists.  While pairs
-    are keyed, each machine keeps its nodes' verdicts, up to
-    _MEMO_MAX_KEYS of them, so a node shared across words and depths has
-    one run.  After that, nodes are taken to be as unshared as the pairs
-    and every pair's nodes are run.
+    last layer.  A node's verdict is a completion run (_CompletionRuns),
+    or the verdict table's while that holds the node.  The empty word's
+    is the ET or accepts_empty rule instead: the root node can come back
+    deeper, where in AS mode its run rejects.
     """
     if a.input_alphabet != b.input_alphabet:
         raise AlphabetMismatchError("machines read different input alphabets")
@@ -321,37 +313,22 @@ def equivalent_up_to(a: Machine, b: Machine,
         return Counterexample((), *empty)
     # each layer's (pair, link): link is (parent's link, letter), so the
     # words share their prefixes
-    layer = [((root_a, root_b), None)]
-    keyed, filed, repeats = True, 0, 0
-    known_a, known_b = {}, {}  # kept while pairs are keyed
+    layer = {(root_a, root_b): None}
     for depth in range(1, max_len + 1):
-        below = {} if keyed else []
-        for (node_a, node_b), link in layer:
+        below = {}
+        for (node_a, node_b), link in layer.items():
             for x, to_a, to_b in zip(sigma, kids_a(node_a), kids_b(node_b)):
-                if keyed:
-                    pair = to_a, to_b
-                    if pair in below:
-                        repeats += 1
-                        continue
-                in_a = verdict_a(to_a, depth, known_a)
-                in_b = verdict_b(to_b, depth, known_b)
+                pair = to_a, to_b
+                if pair in below:
+                    continue
+                in_a, in_b = verdict_a(to_a, depth), verdict_b(to_b, depth)
                 if in_a is not in_b:
                     return Counterexample(_spell((link, x)), in_a, in_b)
                 if depth == max_len or (to_a.__class__ is bool
                                         and to_b.__class__ is bool):
                     continue
-                if keyed:
-                    below[pair] = link, x
-                else:
-                    below.append(((to_a, to_b), (link, x)))
-        if keyed:
-            filed += len(below)
-            layer = below.items()
-            keyed = repeats > 0 or filed < _PAIR_PROBE
-            if not keyed:
-                known_a = known_b = None
-        else:
-            layer = below
+                below[pair] = link, x
+        layer = below
     return None
 
 
@@ -379,9 +356,10 @@ def _product_side(comp: _Compiled, sigma: list) -> tuple:
     and the tape that sweep appended, as a key, or False or True when the
     first sweep halted (_first_steps); those are their own children.
     kids(node) lists a node's children in the order of sigma.
-    verdict(node, depth, known) is the verdict of a node of depth at least
-    1.  known, the caller's dict from node to verdict, keeps it up to
-    _MEMO_MAX_KEYS nodes, or is None to keep nothing."""
+    verdict(node, depth) is the verdict of a node of depth at least 1.
+    A node is the sweep boundary its completion run starts from, so while
+    the verdict table is kept a node it holds is not run again; the lookup
+    counts as neither a run nor a hit of the table's probe."""
     steps, codes = _first_steps(comp), [comp.code[x] for x in sigma]
     runner = _CompletionRuns(comp)
 
@@ -399,21 +377,18 @@ def _product_side(comp: _Compiled, sigma: list) -> tuple:
                 out.append((target, tape + written))
         return out
 
-    def verdict(node, depth: int, known: Optional[dict]) -> bool:
+    def verdict(node, depth: int) -> bool:
         if node.__class__ is bool:
             return node
-        kept = None if known is None else known.get(node)
-        if kept is not None:
-            return kept
-        row, tape = node
-        if len(tape) < runner.queue_below:
-            result = _decide(comp, row, [*tape], depth)
-        else:
-            result = runner.run(row, tape, depth)
-        accepted = result is _ACCEPTED
-        if known is not None and len(known) < _MEMO_MAX_KEYS:
-            known[node] = accepted
-        return accepted
+        memo = runner.memo
+        result = None if memo is None else memo.get(node)
+        if result is None:
+            row, tape = node
+            if len(tape) < runner.queue_below:
+                result = _decide(comp, row, [*tape], depth)
+            else:
+                result = runner.run(row, tape, depth)
+        return result is _ACCEPTED
 
     return (comp.start, comp.key_of(())), kids, verdict
 
@@ -431,10 +406,15 @@ def matches_predicate_up_to(m: Machine, predicate: Callable[[Word], bool],
                             max_len: int) -> Optional[Counterexample]:
     """None when the machine accepts exactly the words the predicate
     allows, up to max_len; otherwise the first disagreement in length
-    then letter order."""
-    got = enumerate_accepted(m, max_len)
+    then letter order.  The language is enumerated up to a bound that
+    doubles, to at most max_len, each time the compared length passes it,
+    so a short disagreement costs a short enumeration."""
     sigma = sorted(m.input_alphabet, key=m.tape.rank)
+    bound = -1
     for r in range(max_len + 1):
+        if r > bound:
+            bound = min(2 * r, max_len)
+            got = enumerate_accepted(m, bound)
         for tup in itertools.product(sigma, repeat=r):
             machine_says = tup in got
             predicate_says = bool(predicate(tup))

@@ -645,13 +645,13 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int):
     n codes in queue, which it appends to: the run is one pass over queue
     with no sweep bookkeeping.
 
-    state_count * L steps in a row that each write back the letter they
-    read, on a tape of L letters, meet one tape state_count + 1 times, so
-    a state repeats and the run is a loop.  This is checked once per chunk
-    of state_count * n steps."""
+    A chunk of state_count * n steps that each write back the letter they
+    read, on a tape of L <= n letters, meets one tape state_count + 1
+    times, L steps apart, so a state repeats and the run is a loop.  This
+    is checked once per chunk."""
     next_row, output, count = comp.next_row, comp.output, comp.state_count
     write, letters = queue.append, iter(queue)  # letters yields appends too
-    i = streak = 0  # steps taken, the last streak of them writing back
+    i = 0  # steps taken
     end = len(queue)
     while i < end:
         stop = i + count * n
@@ -668,11 +668,7 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int):
             break
         # with no erasure, step i + j wrote queue[end + j]
         if top - end == stop - i and queue[i:stop] == queue[end:]:
-            streak += stop - i
-            if streak >= count * (top - stop):
-                return _LOOP
-        else:
-            streak = 0
+            return _LOOP
         i, end = stop, top
     return _EMPTY if comp.as_mode else _ACCEPTED
 

@@ -17,9 +17,8 @@ from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
                              power_of_two, random_unary_noaux)
 from fr1tass.model import Mode, make_machine
-from fr1tass.oracle import (_MEMO_PROBE_RUNS, _PAIR_PROBE, Counterexample,
-                            UnaryClass, UnaryKind, _enumerate_naive,
-                            classify_unary_noaux,
+from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
+                            UnaryKind, _enumerate_naive, classify_unary_noaux,
                             enumerate_accepted, equivalent_up_to,
                             has_strongly_equivalent_states, is_balanced_ab,
                             is_center_a, is_marked_copy, is_palindrome,
@@ -515,24 +514,27 @@ def test_equivalent_up_to_stops_at_the_first_disagreement(monkeypatch):
 
 def test_equivalent_up_to_runs_each_node_once(monkeypatch):
     """The two balance machines share nodes across words and depths, so
-    the walk makes fewer completion runs than enumerating both does."""
+    the walk makes fewer completion runs than enumerating both does.  A
+    node the verdict table holds is not run again; a node with an empty
+    tape has no boundary to file and is run where it comes back."""
     b, ba = balance_ab_et(), et_to_as(balance_ab_et())
     used = _table_use(monkeypatch)
     assert equivalent_up_to(b, ba, 12) is None
     walk = used[True] + used[False]
     enumerate_accepted(b, 12)
     enumerate_accepted(ba, 12)
-    assert walk == 2203 < used[True] + used[False] - walk == 3524
+    assert walk == 2212 < used[True] + used[False] - walk == 3524
 
 
 def test_equivalent_up_to_node_verdicts_stop_at_the_cap(monkeypatch):
-    """With room for 64 node verdicts per machine, nodes past them are run
-    again where they come back, and the answers stay the same."""
+    """With room for 64 keys in each machine's verdict table, nodes past
+    them are run again where they come back, and the answers stay the
+    same."""
     monkeypatch.setattr(oracle, "_MEMO_MAX_KEYS", 64)
     b, ba = balance_ab_et(), et_to_as(balance_ab_et())
     used = _table_use(monkeypatch)
     assert equivalent_up_to(b, ba, 12) is None
-    assert used[True] + used[False] > 2203
+    assert used[True] + used[False] > 2212
     group, n = _gallery_groups()[0]
     for first in group:
         for second in group:
@@ -540,11 +542,12 @@ def test_equivalent_up_to_node_verdicts_stop_at_the_cap(monkeypatch):
                     == equivalent_by_sets(first, second, n))
 
 
-@pytest.fixture(params=[_PAIR_PROBE, 1], ids=["probe", "short_probe"])
+@pytest.fixture(params=[_MEMO_PROBE_RUNS, 8], ids=["probe", "short_probe"])
 def walk_probe(request, monkeypatch):
-    """The default pair probe, and one so short that the walk stops keying
-    pairs after the first layer unless two of its pairs are the same."""
-    monkeypatch.setattr(oracle, "_PAIR_PROBE", request.param)
+    """The default verdict-table probe, and one so short that the walk
+    drops the table after 8 runs unless more than half of them end on a
+    known boundary: later nodes are decided by queue runs, none kept."""
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", request.param)
 
 
 def test_equivalent_up_to_matches_sets_on_census_pairs(walk_probe):
@@ -629,6 +632,21 @@ def test_gallery_machines_match_their_predicates():
 def test_predicate_mismatch_reports_least_word():
     cex = matches_predicate_up_to(power_of_two(), is_palindrome, 8)
     assert cex == Counterexample(word=(), in_first=False, in_second=True)
+
+
+def test_predicate_mismatch_stops_at_the_first_disagreeing_length(monkeypatch):
+    """center takes a: the words up to length 2 decide it, however long
+    max_len is."""
+    bounds, enumerate_ = [], oracle.enumerate_accepted
+
+    def spied(m, max_len):
+        bounds.append(max_len)
+        return enumerate_(m, max_len)
+
+    monkeypatch.setattr(oracle, "enumerate_accepted", spied)
+    cex = matches_predicate_up_to(center_language(), lambda w: False, 14)
+    assert cex == Counterexample(word=("a",), in_first=True, in_second=False)
+    assert bounds and max(bounds) <= 2
 
 
 def test_predicate_values():
