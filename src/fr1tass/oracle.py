@@ -8,14 +8,14 @@ agree up to a length, and closed-form descriptions for the unary case.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
 from .model import Machine, Mode, Word
-from .simulate import _ACCEPTED, _Compiled, _compile, _core, _decide, accepts
+from .simulate import (_ACCEPTED, _LOOP, _STUCK, _Compiled, _compile, _core,
+                       _decide)
 
 
 # completion runs after which enumerate_accepted keeps its verdict table
@@ -55,11 +55,10 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     letter is no input letter, some cell writes it over another letter,
     and every live row other than a drain or a row stuck on every letter
     reads it by writing it back and staying, as remove_erasing and
-    et_to_as do with their placeholder.  In AS mode the verdict form
-    erases every inert write.  In ET mode it has a flagged copy of each
-    row: the first inert write keeps its letter and moves the run to the
-    copies, which erase every later one, so a tape holds at most one inert
-    letter, and one exactly when m's holds any.
+    et_to_as do with their placeholder.  The verdict form erases every
+    inert write.  In ET mode it also has a flagged copy of each row, which
+    the first inert write moves the run to: a run is in a flagged row
+    other than a drain exactly when m's tape holds an inert letter.
     This is exact:
     - inert reads never change the row, so the verdict form's run is m's
       with those steps taken out, and it halts at the same letters;
@@ -69,9 +68,11 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
       verdict form, so loop cuts agree;
     - in AS mode, a tape of inert letters alone circles in m and is empty
       in the verdict form: both reject;
-    - in ET mode, the one kept letter stays until a drain erases it, as
-      m's inert letters do, so one tape empties exactly when the other
-      does.
+    - in ET mode, m's inert letters stay until a drain, which never
+      leaves, erases them.  Where the verdict form's tape runs out in a
+      flagged row, m's holds inert letters alone: a drain erases them and
+      accepts, a row stuck on every letter sticks, and any other row
+      copies them for good, a loop (_Compiled.empty_verdicts).
     _compile(m) comes first, so a machine that is not freezing is refused
     even where the verdict form would erase its upward write.
     """
@@ -211,51 +212,43 @@ def _verdict_form(comp: _Compiled) -> _Compiled:
         if row >= 0 and row not in live:
             live.add(row)
             todo += [next_row[row + c] for c in codes]
-    # every live row but the drains and the rows stuck on every letter
-    copiers = [row for row in live
-               if any(next_row[row + c] != row or output[row + c] >= 0
-                      for c in codes)
-               and any(next_row[row + c] != -1 for c in codes)]
+    # the live rows stuck on every letter, the drains, and the others
+    stuck = {row for row in live
+             if all(next_row[row + c] == -1 for c in codes)}
+    drains = {row for row in live
+              if all(next_row[row + c] == row and output[row + c] < 0
+                     for c in codes)}
+    copiers = live - stuck - drains
     written = {out for at, out in enumerate(output) if out != at % stride}
     inert = {c for c in written.difference(inputs.values(), (-1,))
              if all(next_row[row + c] == row and output[row + c] == c
                     for row in copiers)}
-    # the cells that write an inert letter over another one
+    # the cells that write an inert letter over another one, which erase
     cells = [at for at, out in enumerate(output)
              if out in inert and at % stride not in inert]
+    outs = list(output)
+    for at in cells:
+        outs[at] = -1
     if not cells:
         form = comp
     elif comp.as_mode:
-        outs = list(output)
-        for at in cells:
-            outs[at] = -1
         form = replace(comp, output=tuple(outs), blocks=None,
                        first_steps=None)
     else:
-        # a flagged copy of each row, from size on, which the first inert
-        # write moves to and which erases every later one
+        # a flagged copy of each row, from size on, which every inert write
+        # moves to; where the tape runs out m's holds inert letters alone,
+        # which a drain erases, a stuck row sticks on and any other copies
         rows = [*next_row, *(t + size if t >= 0 else t for t in next_row)]
-        outs = [*output, *output]
         for at in cells:
             rows[at] += size
-            outs[size + at] = -1
-        form = replace(comp, next_row=tuple(rows), output=tuple(outs),
+        form = replace(comp, next_row=tuple(rows), output=tuple(outs) * 2,
                        states=comp.states * 2,
                        state_count=2 * comp.state_count, blocks=None,
-                       first_steps=None)
+                       first_steps=None, empty_verdicts={
+                           size + row: _STUCK if row in stuck else _LOOP
+                           for row in live - drains})
     object.__setattr__(comp, "verdict", form)
     return form
-
-
-def _enumerate_naive(m: Machine, max_len: int) -> set:
-    """One full run per word; the slow mirror of enumerate_accepted."""
-    sigma = sorted(m.input_alphabet, key=m.tape.rank)
-    out = set()
-    for r in range(max_len + 1):
-        for tup in itertools.product(sigma, repeat=r):
-            if accepts(m, tup):
-                out.add(tup)
-    return out
 
 
 @dataclass(frozen=True)
@@ -281,7 +274,8 @@ def equivalent_up_to(a: Machine, b: Machine,
     among those.
 
     One breadth-first walk over the product of the two machines' prefix
-    DAGs, which stops at the first disagreement (Hopcroft and Karp, 1971).
+    DAGs, which stops at the first disagreement and walks no pair of nodes
+    twice (Hopcroft and Karp, 1971).
     A machine's node is its node in enumerate_accepted's walk, on its
     verdict form: the row its first sweep reached and the tape that sweep
     appended.  Every word below goes on from there, so the node decides
@@ -289,16 +283,19 @@ def equivalent_up_to(a: Machine, b: Machine,
     that sticks or accepts makes the node False or True: every word below
     rejected, or accepted.
 
-    Layer d holds each distinct pair of nodes with the first word of
-    length d that reaches it.  Parents are taken in order and letters in
-    a's tape order, so pairs are filed in the order of their first words.
-    So the first pair whose verdicts differ is the answer, and the walk
-    returns there.  A pair of two True or False nodes that agree has no
-    disagreement below and leaves the walk, and so do the pairs of the
-    last layer.  A node's verdict is a completion run (_CompletionRuns),
-    or the verdict table's while that holds the node.  The empty word's
-    is the ET or accepts_empty rule instead: the root node can come back
-    deeper, where in AS mode its run rejects.
+    Layer d holds each pair of nodes that no earlier layer holds, with
+    the first word of length d that reaches it.  A node's verdict does not
+    depend on its depth, and a pair met at a shorter length reaches every
+    suffix that a later copy of it could, so the later copy is skipped.
+    Parents are taken in order and letters in a's tape order, so pairs
+    are filed in the order of their first words.  So the first pair whose
+    verdicts differ is the answer, and the walk returns there.  A pair of
+    two True or False nodes that agree has no disagreement below and
+    leaves the walk, and so do the pairs of the last layer.  A node's
+    verdict is a completion run (_CompletionRuns), or the verdict table's
+    while that holds the node.  The empty word's is the ET or
+    accepts_empty rule instead, so the root pair is not marked as walked:
+    it can come back deeper, where an AS run rejects.
     """
     if a.input_alphabet != b.input_alphabet:
         raise AlphabetMismatchError("machines read different input alphabets")
@@ -311,15 +308,16 @@ def equivalent_up_to(a: Machine, b: Machine,
     empty = [m.mode is Mode.ET or m.accepts_empty for m in (a, b)]
     if empty[0] != empty[1]:
         return Counterexample((), *empty)
-    # each layer's (pair, link): link is (parent's link, letter), so the
-    # words share their prefixes
-    layer = {(root_a, root_b): None}
+    # each layer's (node_a, node_b, link): link is (parent's link, letter),
+    # so the words share their prefixes; seen holds the pairs of every
+    # layer after the root's
+    layer, seen = [(root_a, root_b, None)], set()
     for depth in range(1, max_len + 1):
-        below = {}
-        for (node_a, node_b), link in layer.items():
+        below = []
+        for node_a, node_b, link in layer:
             for x, to_a, to_b in zip(sigma, kids_a(node_a), kids_b(node_b)):
                 pair = to_a, to_b
-                if pair in below:
+                if pair in seen:
                     continue
                 in_a, in_b = verdict_a(to_a, depth), verdict_b(to_b, depth)
                 if in_a is not in_b:
@@ -327,7 +325,8 @@ def equivalent_up_to(a: Machine, b: Machine,
                 if depth == max_len or (to_a.__class__ is bool
                                         and to_b.__class__ is bool):
                     continue
-                below[pair] = link, x
+                seen.add(pair)
+                below.append((to_a, to_b, (link, x)))
         layer = below
     return None
 
@@ -356,10 +355,13 @@ def _product_side(comp: _Compiled, sigma: list) -> tuple:
     and the tape that sweep appended, as a key, or False or True when the
     first sweep halted (_first_steps); those are their own children.
     kids(node) lists a node's children in the order of sigma.
-    verdict(node, depth) is the verdict of a node of depth at least 1.
-    A node is the sweep boundary its completion run starts from, so while
-    the verdict table is kept a node it holds is not run again; the lookup
-    counts as neither a run nor a hit of the table's probe."""
+    verdict(node, depth) is the verdict of a node of depth at least 1,
+    the same at every depth: depth only bounds the node's tape.  A node is
+    the sweep boundary its completion run starts from, so while the
+    verdict table is kept a node it holds is not run again; the lookup
+    counts as neither a run nor a hit of the table's probe.  A node with
+    an empty tape has no boundary to file; in a flagged row of an ET
+    verdict form its run ends on comp.empty_verdicts."""
     steps, codes = _first_steps(comp), [comp.code[x] for x in sigma]
     runner = _CompletionRuns(comp)
 
@@ -454,27 +456,6 @@ def is_balanced_ab(word: Word) -> bool:
         return False
     gap = word.count("a") - word.count("b")
     return gap in (0, 1)
-
-
-def is_palindrome(word: Word) -> bool:
-    return tuple(word) == tuple(reversed(word))
-
-
-def regular(pattern: str) -> Callable[[Word], bool]:
-    """Predicate matching a whole word against a regular expression.
-
-    Words are joined letter by letter, so this only makes sense for
-    single-character letters.
-    """
-    rx = re.compile(pattern)
-
-    def predicate(word: Word) -> bool:
-        for x in word:
-            if len(x) != 1:
-                raise ValueError("regular predicates need one-character letters")
-        return rx.fullmatch("".join(word)) is not None
-
-    return predicate
 
 
 # --- unary machines -----------------------------------------------------------
@@ -575,16 +556,3 @@ def classify_unary_noaux(m: Machine) -> UnaryClass:
         return UnaryClass(kind=UnaryKind.ET_ALL)
     return UnaryClass(kind=UnaryKind.ET_FINITE,
                       lengths=frozenset(range(total[-1] + 1)))
-
-
-def has_strongly_equivalent_states(m: Machine) -> Optional[tuple]:
-    """First pair of distinct states with identical transition rows
-    across the whole tape alphabet, or None when all rows differ."""
-    names = sorted(m.states)
-    rows = {q: tuple(m.transitions.get((q, x)) for x in m.tape.letters)
-            for q in names}
-    for i, p in enumerate(names):
-        for q in names[i + 1:]:
-            if rows[p] == rows[q]:
-                return (p, q)
-    return None

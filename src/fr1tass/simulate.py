@@ -186,6 +186,9 @@ class _Compiled:
     letters that are one Latin-1 character, encoded, and the
     bytes.translate table that codes them; None with tuples.  Sweeps over
     at least ``gate`` letters take the block loop, on bytes only.
+    ``empty_verdicts`` maps a row to the verdict of an ET run whose tape
+    runs out there, Accepted for a row it lacks; only an ET verdict form
+    (see oracle._verdict_form) fills it.
     ``blocks``, ``verdict`` (see oracle._verdict_form) and
     ``first_steps`` (see oracle._first_steps) are built on first use and
     kept."""
@@ -204,6 +207,7 @@ class _Compiled:
     gate: int
     key_of: type
     input_bytes: Optional[tuple]
+    empty_verdicts: dict
     blocks: Optional[tuple] = None
     verdict: Optional[_Compiled] = None
     first_steps: Optional[tuple] = None
@@ -274,7 +278,7 @@ def _compile(m: Machine) -> _Compiled:
         output=tuple(output), as_mode=as_mode, accepts_empty=m.accepts_empty,
         state_count=len(states),
         gate=_BLOCK_MIN if narrow else sys.maxsize,
-        key_of=bytes if narrow else tuple,
+        key_of=bytes if narrow else tuple, empty_verdicts={},
         input_bytes=(raw, bytes.maketrans(raw, bytes(code[x] for x in latin1)))
         if narrow else None))
     return m._compiled
@@ -632,7 +636,8 @@ def _core(comp: _Compiled, row: int, tape, steps: int,
         sweep_index += 1
     if comp.as_mode and not (steps == 0 and comp.accepts_empty):
         return _EMPTY, row, steps, sweep_index - 1, None
-    return _ACCEPTED, row, steps, sweep_index - 1, None
+    return (comp.empty_verdicts.get(row, _ACCEPTED), row, steps,
+            sweep_index - 1, None)
 
 
 def _exhausted(max_steps: int):
@@ -670,7 +675,7 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int):
         if top - end == stop - i and queue[i:stop] == queue[end:]:
             return _LOOP
         i, end = stop, top
-    return _EMPTY if comp.as_mode else _ACCEPTED
+    return _EMPTY if comp.as_mode else comp.empty_verdicts.get(row, _ACCEPTED)
 
 
 def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> RunResult:

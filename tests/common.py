@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 from fr1tass.model import Machine, Mode, OrderedAlphabet, make_machine
 from fr1tass.oracle import Counterexample, enumerate_accepted
@@ -72,6 +73,40 @@ def run_language(m, max_len: int) -> set:
     """Accepted words up to max_len, one full run per word."""
     return {w for w in words(sorted(m.input_alphabet), max_len)
             if accepts(m, w)}
+
+
+def is_palindrome(word) -> bool:
+    return tuple(word) == tuple(reversed(word))
+
+
+def regular(pattern: str):
+    """Predicate matching a whole word against a regular expression.
+
+    Words are joined letter by letter, so this only makes sense for
+    single-character letters.
+    """
+    rx = re.compile(pattern)
+
+    def predicate(word) -> bool:
+        for x in word:
+            if len(x) != 1:
+                raise ValueError("regular predicates need one-character letters")
+        return rx.fullmatch("".join(word)) is not None
+
+    return predicate
+
+
+def has_strongly_equivalent_states(m):
+    """First pair of distinct states with identical transition rows
+    across the whole tape alphabet, or None when all rows differ."""
+    names = sorted(m.states)
+    rows = {q: tuple(m.transitions.get((q, x)) for x in m.tape.letters)
+            for q in names}
+    for i, p in enumerate(names):
+        for q in names[i + 1:]:
+            if rows[p] == rows[q]:
+                return (p, q)
+    return None
 
 
 def equivalent_by_sets(a, b, max_len: int):

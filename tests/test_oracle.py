@@ -9,21 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import (all_a, census_machines, equivalent_by_sets, even_length,
-                    flip_flop, odd_length, pure_loop, random_machine,
-                    rotating_countdown, stepped_verdict, two_hash_dfa,
-                    undeclared_chain, words)
+                    flip_flop, has_strongly_equivalent_states, is_palindrome,
+                    odd_length, pure_loop, random_machine, regular,
+                    rotating_countdown, run_language, stepped_verdict,
+                    two_hash_dfa, undeclared_chain, words)
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
                              power_of_two, random_unary_noaux)
 from fr1tass.model import Mode, make_machine
 from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
-                            UnaryKind, _enumerate_naive, classify_unary_noaux,
+                            UnaryKind, classify_unary_noaux,
                             enumerate_accepted, equivalent_up_to,
-                            has_strongly_equivalent_states, is_balanced_ab,
-                            is_center_a, is_marked_copy, is_palindrome,
-                            is_power_of_two_block, matches_predicate_up_to,
-                            regular)
+                            is_balanced_ab, is_center_a, is_marked_copy,
+                            is_power_of_two_block, matches_predicate_up_to)
 from fr1tass.pcp import (PcpInstance, encode_pcp_candidate,
                          pcp_solution_encoding)
 from fr1tass.simulate import Verdict, accepts
@@ -45,7 +44,7 @@ def test_enumerate_power_of_two():
 def test_enumerate_matches_naive_scan_on_gallery():
     for build in (power_of_two, marked_copy, center_language, balance_ab_et):
         m = build()
-        assert enumerate_accepted(m, 7) == _enumerate_naive(m, 7), build.__name__
+        assert enumerate_accepted(m, 7) == run_language(m, 7), build.__name__
 
 
 def test_enumerate_includes_empty_word_rules():
@@ -62,7 +61,7 @@ def test_enumerate_deep_prefix_tree():
 def test_enumerate_matches_naive_scan_on_random_general_machines():
     for seed in range(150):
         m = random_machine(seed)
-        assert enumerate_accepted(m, 4) == _enumerate_naive(m, 4), seed
+        assert enumerate_accepted(m, 4) == run_language(m, 4), seed
 
 
 def test_enumerate_on_empty_tape_alphabet():
@@ -91,7 +90,7 @@ def test_enumerate_zero_bound():
 @given(st.integers(0, 10_000), st.integers(1, 4))
 def test_enumerate_matches_naive_scan_on_random_machines(seed, n_states):
     m = random_unary_noaux(seed, n_states)
-    assert enumerate_accepted(m, 9) == _enumerate_naive(m, 9)
+    assert enumerate_accepted(m, 9) == run_language(m, 9)
 
 
 def _table_use(monkeypatch) -> dict:
@@ -144,7 +143,7 @@ def _refuse_runs(monkeypatch):
 def test_enumerate_verdict_table_past_the_probe(monkeypatch, build, n, kept):
     m = build()
     used = _table_use(monkeypatch)
-    assert enumerate_accepted(m, n) == _enumerate_naive(m, n)
+    assert enumerate_accepted(m, n) == run_language(m, n)
     assert used[True] >= _MEMO_PROBE_RUNS
     assert (used[False] == 0) is kept
 
@@ -158,7 +157,7 @@ def test_enumerate_queue_runs_on_random_general_machines(monkeypatch, probe):
     for seed in range(200):
         m = random_machine(seed)
         n = lengths[len(m.input_alphabet)]
-        assert enumerate_accepted(m, n) == _enumerate_naive(m, n), seed
+        assert enumerate_accepted(m, n) == run_language(m, n), seed
     assert used[False] > 0  # some calls dropped the table
 
 
@@ -166,7 +165,7 @@ def test_enumerate_verdict_table_stops_filing_at_the_cap(monkeypatch):
     monkeypatch.setattr(oracle, "_MEMO_MAX_KEYS", 64)
     sizes = _table_use(monkeypatch)["sizes"]
     m = et_to_as(balance_ab_et())
-    assert enumerate_accepted(m, 10) == _enumerate_naive(m, 10)
+    assert enumerate_accepted(m, 10) == run_language(m, 10)
     # the table fills up to the cap and stays there, lookups going on
     assert max(sizes) == 64 and sizes.count(64) > 100
 
@@ -209,7 +208,7 @@ def test_enumerate_drops_the_subtree_table_at_the_probe(monkeypatch):
 
 def test_enumerate_census():
     for m in census_machines():
-        assert enumerate_accepted(m, 5) == _enumerate_naive(m, 5), m
+        assert enumerate_accepted(m, 5) == run_language(m, 5), m
 
 
 def test_enumerate_census_with_blocks_everywhere(monkeypatch):
@@ -231,7 +230,7 @@ def test_enumerate_tape_wider_than_a_byte():
                      transitions=balance_ab_et().transitions, mode=Mode.ET)
     assert len(m.tape.letters) == 257
     got = enumerate_accepted(m, 6)
-    assert got == _enumerate_naive(m, 6)
+    assert got == run_language(m, 6)
     assert got == {w for w in words("ab", 6) if is_balanced_ab(w)}
     # the walk's nodes hold tuple tapes here
     assert equivalent_up_to(m, balance_ab_et(), 8) is None
@@ -261,7 +260,7 @@ def mod_three():
 def test_enumerate_past_the_block_gate():
     m = mod_three()
     got = enumerate_accepted(m, 2 * simulate._BLOCK_MIN)
-    assert got == _enumerate_naive(m, 2 * simulate._BLOCK_MIN)
+    assert got == run_language(m, 2 * simulate._BLOCK_MIN)
     assert got == {("a",) * n for n in range(0, 2 * simulate._BLOCK_MIN + 1, 3)}
 
 
@@ -278,7 +277,7 @@ def test_enumerate_unary_past_the_block_gate(monkeypatch, probe):
                  for seed in range(10) for k in (2, 3, 4)]
     machines += [power_of_two(), mod_three()]  # not constant on long words
     for m in machines:
-        assert enumerate_accepted(m, n) == _enumerate_naive(m, n), m
+        assert enumerate_accepted(m, n) == run_language(m, n), m
     if probe > n:
         assert used[False] == 0
     else:
@@ -303,7 +302,7 @@ def test_enumerate_shares_one_capped_chunk_memo(monkeypatch, build, cap):
 
     monkeypatch.setattr(oracle, "_core", spied)
     m, n = build(), 4 * simulate._BLOCK_MIN
-    assert enumerate_accepted(m, n) == _enumerate_naive(m, n)
+    assert enumerate_accepted(m, n) == run_language(m, n)
     assert len({id(memo) for memo in memos}) == 1
     held = len(memos[0])
     if cap is None:
@@ -321,7 +320,7 @@ def test_enumerate_verdict_table_on_random_general_machines(monkeypatch):
         m = random_machine(seed)
         n = 6 if len(m.input_alphabet) == 3 else 9
         before = dict(used)
-        assert enumerate_accepted(m, n) == _enumerate_naive(m, n), seed
+        assert enumerate_accepted(m, n) == run_language(m, n), seed
         if used[False] > before[False]:
             dropped += 1
         elif used[True] - before[True] > _MEMO_PROBE_RUNS:
@@ -332,13 +331,15 @@ def test_enumerate_verdict_table_on_random_general_machines(monkeypatch):
 @pytest.mark.parametrize("build, runs, hits", [
     (balance_ab_et, 1580, 1533),
     (lambda: et_to_as(balance_ab_et()), 1944, 1909),
-    (lambda: as_to_et(et_to_as(balance_ab_et())), 3004, 2822),
+    (lambda: as_to_et(et_to_as(balance_ab_et())), 1944, 1890),
 ], ids=["balance_ab_et", "et_to_as", "as_to_et_et_to_as"])
 def test_enumerate_verdict_table_hits_at_twelve(monkeypatch, build, runs, hits):
     """Loop runs end at their first repeated sweep boundary, which files
     the same keys as running on to the cut: the routing and hits hold.
     The two bridges run their verdict forms, which keep the placeholder
-    off the tape, so their subtrees share."""
+    off the tape, so their subtrees share.  The ET one flags its rows
+    where the placeholder is written, and these meet the same keys as
+    the AS one, so both make as many runs."""
     used = _table_use(monkeypatch)
     assert enumerate_accepted(build(), 12) == {
         w for w in words("ab", 12) if is_balanced_ab(w)}
@@ -378,22 +379,24 @@ def test_verdict_form_of_constructions_on_random_machines():
         c = complement(r)
         for x in (m, as_to_et(m) if a is m else a, r, c, as_to_et(r)):
             n = 3 if len(x.input_alphabet) == 3 else 5
-            assert enumerate_accepted(x, n) == _enumerate_naive(x, n), seed
+            assert enumerate_accepted(x, n) == run_language(x, n), seed
             rewritten[x.mode] += _rewritten(x)
         rewritten["complement"] += _rewritten(c)
     assert min(rewritten[Mode.AS], rewritten[Mode.ET]) >= 300, rewritten
     assert rewritten["complement"] == 195
 
 
-def test_verdict_form_keeps_one_placeholder_on_et_tapes():
+def test_verdict_form_flags_the_placeholder_on_et_tapes():
     """kept is an ET machine whose one state keeps every X it writes, so
-    only the empty word empties its tape.  In the other two, p loops on X
-    but q accepts on it or erases it, so X is not inert."""
+    only the empty word empties its tape.  Its verdict form erases each X
+    into a flagged copy of p, whose tape, empty where kept's holds X's
+    alone, rejects as a loop.  In the other two, p loops on X but q
+    accepts on it or erases it, so X is not inert."""
     kept = make_machine(sigma="a", tape="Xa", start="p", accepting=(),
                         mode=Mode.ET, transitions={("p", "a"): ("p", "X"),
                                                    ("p", "X"): ("p", "X")})
     assert _rewritten(kept)
-    assert enumerate_accepted(kept, 8) == _enumerate_naive(kept, 8) == {()}
+    assert enumerate_accepted(kept, 8) == run_language(kept, 8) == {()}
     rows = {("p", "a"): ("p", "X"), ("p", "X"): ("p", "X"),
             ("p", "b"): ("q", "b"), ("q", "b"): ("q", "b"),
             ("q", "a"): ("q", "X")}
@@ -405,8 +408,43 @@ def test_verdict_form_keeps_one_placeholder_on_et_tapes():
                             transitions={**rows, ("q", "X"): ("q", None)})
     for m in (accepts_x, erases_x):
         assert not _rewritten(m)
-        assert enumerate_accepted(m, 6) == _enumerate_naive(m, 6)
+        assert enumerate_accepted(m, 6) == run_language(m, 6)
     assert ("a", "b") in enumerate_accepted(accepts_x, 2)
+
+
+def test_verdict_form_lets_a_flagged_drain_accept():
+    """p turns each a into X and copies X, and b takes it to d, a drain.
+    So on aab d erases the two X's and the b and accepts, while aa leaves
+    p on X's alone, which loop.  The verdict form erases each X into a
+    flagged copy of p and then of d, whose tape runs out as m's holds the
+    X's alone: the flagged p loops and the flagged d accepts."""
+    m = make_machine(sigma="ab", tape="Xab", start="p", accepting=(),
+                     mode=Mode.ET, transitions={
+                         ("p", "a"): ("p", "X"), ("p", "X"): ("p", "X"),
+                         ("p", "b"): ("d", "b"),
+                         **{("d", x): ("d", None) for x in "abX"}})
+    assert simulate.run(m, "aab").verdict is Verdict.ACCEPTED
+    assert simulate.run(m, "aa").verdict is Verdict.REJECTED_LOOP
+    assert _rewritten(m)
+    assert enumerate_accepted(m, 6) == run_language(m, 6)
+    for other in (m, balance_ab_et()):
+        assert equivalent_up_to(m, other, 6) == equivalent_by_sets(m, other, 6)
+
+
+def test_verdict_form_of_the_et_bridge_appends_no_placeholder():
+    """The ET bridge of balance writes BOX over letters, and every state a
+    run can be in copies it.  Its verdict form's first sweeps append no
+    BOX on any input letter from any row."""
+    comp = simulate._compile(as_to_et(et_to_as(balance_ab_et())))
+    form = oracle._verdict_form(comp)
+    box = comp.code["BOX"]
+    assert box in comp.output
+    steps = oracle._first_steps(form)
+    appended = {c for row in range(0, len(form.next_row), form.stride)
+                for x in comp.input_code.values()
+                if steps[row + x].__class__ is tuple
+                for c in steps[row + x][1]}
+    assert appended and box not in appended
 
 
 @pytest.mark.parametrize("build", [
@@ -426,7 +464,7 @@ def test_verdict_form_skips_rows_stuck_on_every_letter():
              if set(comp.next_row[row:row + comp.stride]) == {-1}]
     assert len(stuck) == 8
     assert _rewritten(m)
-    assert enumerate_accepted(m, 8) == _enumerate_naive(m, 8)
+    assert enumerate_accepted(m, 8) == run_language(m, 8)
 
 
 @pytest.mark.parametrize("mode", [Mode.AS, Mode.ET])
@@ -515,15 +553,41 @@ def test_equivalent_up_to_stops_at_the_first_disagreement(monkeypatch):
 def test_equivalent_up_to_runs_each_node_once(monkeypatch):
     """The two balance machines share nodes across words and depths, so
     the walk makes fewer completion runs than enumerating both does.  A
-    node the verdict table holds is not run again; a node with an empty
-    tape has no boundary to file and is run where it comes back."""
+    node the verdict table holds is not run again, and no pair met at a
+    shorter length is walked again.  So a node with an empty tape, which
+    has no boundary to file, is run again only in a new pair."""
     b, ba = balance_ab_et(), et_to_as(balance_ab_et())
     used = _table_use(monkeypatch)
     assert equivalent_up_to(b, ba, 12) is None
     walk = used[True] + used[False]
     enumerate_accepted(b, 12)
     enumerate_accepted(ba, 12)
-    assert walk == 2212 < used[True] + used[False] - walk == 3524
+    assert walk == 2203 < used[True] + used[False] - walk == 3524
+
+
+def test_equivalent_up_to_runs_the_et_bridge_without_its_placeholder(
+        monkeypatch):
+    """The ET bridge's verdict form keeps no placeholder on its tapes, so
+    no node stands for one of its positions: the walk against balance
+    makes 2,212 runs, near the 2,203 against the AS bridge."""
+    b, bae = balance_ab_et(), as_to_et(et_to_as(balance_ab_et()))
+    used = _table_use(monkeypatch)
+    assert equivalent_up_to(b, bae, 12) is None
+    assert used[True] + used[False] == 2212
+
+
+def test_equivalent_up_to_walks_a_returning_root_pair():
+    """On a both machines erase it and come back to their start with an
+    empty tape, so the pair of roots comes back at depth 1.  The empty
+    word's verdicts come from the ET and accepts_empty rules, both True;
+    a's are completion runs, where the AS run rejects its emptied tape."""
+    rows = {("s", "a"): ("s", None)}
+    a = make_machine(sigma="a", tape="a", start="s", accepting=(),
+                     mode=Mode.AS, transitions=rows, accepts_empty=True)
+    b = make_machine(sigma="a", tape="a", start="s", accepting=(),
+                     mode=Mode.ET, transitions=rows)
+    assert equivalent_up_to(a, b, 3) == Counterexample(("a",), False, True)
+    assert equivalent_up_to(a, b, 3) == equivalent_by_sets(a, b, 3)
 
 
 def test_equivalent_up_to_node_verdicts_stop_at_the_cap(monkeypatch):
@@ -534,7 +598,7 @@ def test_equivalent_up_to_node_verdicts_stop_at_the_cap(monkeypatch):
     b, ba = balance_ab_et(), et_to_as(balance_ab_et())
     used = _table_use(monkeypatch)
     assert equivalent_up_to(b, ba, 12) is None
-    assert used[True] + used[False] > 2212
+    assert used[True] + used[False] > 2203
     group, n = _gallery_groups()[0]
     for first in group:
         for second in group:
