@@ -24,6 +24,10 @@ _MEMO_PROBE_RUNS = 512
 _MEMO_HIT_SHARE = 0.5
 # the most keys a kept table holds; once full, lookups go on
 _MEMO_MAX_KEYS = 1 << 16
+# the most axes on a path of enumerate_accepted's walk; a split resumes
+# every world of its bundle, and the benchmark's enumerate ops ran no
+# faster with more
+_BUNDLE_AXES = 6
 
 
 def enumerate_accepted(m: Machine, max_len: int) -> set:
@@ -46,6 +50,24 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     dropped after the first _MEMO_PROBE_RUNS completion runs if no node
     has found its key, and it files no keys once it holds _MEMO_MAX_KEYS.  Each node's completion
     run goes on from its first sweep, as _CompletionRuns sets out.
+
+    A node's children are its row's slots (_bundles).  Once both tables
+    are dropped, a slot is a letter or a group: letters whose first steps
+    from the row reach one row and write one letter each.  A group's
+    child is a bundle node: its appended tape ends in a vector letter, the
+    tuple of the letters its members wrote, and it records one more axis,
+    its position and its members.  A world of a node picks one member of
+    each axis of its path, and the node stands for the word of each of
+    its worlds.  A path has at most _BUNDLE_AXES axes.  A bundle node's
+    completion run is one simulate._decide run on the bundle form, which
+    steps the runs of all its worlds at once while they agree, so its
+    verdict holds for every world; where they part ways it splits, and
+    each world goes on from there on the verdict form with its own
+    letters.  A first sweep that accepts adds every world's extensions.
+    Until a split, every cell a bundle run takes has one next row for all
+    worlds and erases in all or none of them, so their tapes stay aligned;
+    and two letter codes are equal only when every world's letters are,
+    so a loop cut holds for every world.
 
     The walk and the runs use the verdict form of m (_verdict_form), which
     accepts the same words with no pile of inert letters on its tapes.  A
@@ -81,13 +103,18 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     comp = _verdict_form(_compile(m))
     found = [()] if m.mode is Mode.ET or m.accepts_empty else []
     sigma = sorted(m.input_alphabet, key=comp.code.__getitem__)
-    codes = [comp.code[a] for a in sigma]
-    steps = _first_steps(comp)
+    steps, stride = _first_steps(comp), comp.stride
+    single = {row: [(x, steps[row + comp.code[x]], None) for x in sigma]
+              for row in range(0, len(comp.next_row), stride)}
+    # the slots of a node with k axes are tables[k][row], or single's past
+    # the last table; each row's groups join them once bundles open
+    tables = [single]
+    form = parts = None  # the bundle form and its parts, once bundles open
     # the current node's word and what its first sweep wrote
     prefix, appended = [], []
-    # per node on the path from the root: the row its first sweep reached,
-    # the index of its next child letter, and len(appended) at the node
-    stack = [(comp.start, 0, 0)]
+    # per node on the path from the root: its slots, the index of its next
+    # one, len(appended) at the node and the axes of its path
+    stack = [(single[comp.start], 0, 0, ())]
     # while the subtree table is kept, per node on the path: its key and
     # where its words start in found
     subtrees: Optional[dict] = {}
@@ -95,29 +122,32 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     runner = _CompletionRuns(comp)
     shared = 0
     while stack:
-        row, i, mark = stack[-1]
+        slots, i, mark, axes = stack[-1]
         depth = len(stack) - 1
         del prefix[depth:], appended[mark:]
-        if i == len(sigma) or depth == max_len:
+        if i == len(slots) or depth == max_len:
             stack.pop()
             if subtrees is not None:
                 key, start = opened.pop()
                 if len(subtrees) < _MEMO_MAX_KEYS:
                     subtrees[key] = slice(start, len(found))
             continue
-        stack[-1] = (row, i + 1, mark)
-        step = steps[row + codes[i]]
+        stack[-1] = (slots, i + 1, mark, axes)
+        x, step, members = slots[i]
         if step is False:
             continue
         if step is True:
-            head = (*prefix, sigma[i])
-            for r in range(max_len - depth):
-                found.extend(head + tail
-                             for tail in itertools.product(sigma, repeat=r))
+            for head in _words(prefix, axes):
+                head += x,
+                for r in range(max_len - depth):
+                    found.extend(head + tail for tail
+                                 in itertools.product(sigma, repeat=r))
             continue
         target, written = step
-        prefix.append(sigma[i])
+        prefix.append(x)
         appended += written
+        if members is not None:
+            axes += (depth, members),
         if subtrees is not None:
             tape = comp.key_of(appended)  # appended as a key, for _core too
             key = target, tape, max_len - depth - 1
@@ -130,7 +160,26 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
                 continue
             opened.append((key, len(found)))
         end = len(appended)
-        stack.append((target, 0, end))
+        kids = tables[len(axes)] if len(axes) < len(tables) else single
+        stack.append((kids[target], 0, end, axes))
+        if axes:
+            verdict = _decide(form, target // stride * form.stride, appended,
+                              depth + 1)
+            if verdict is _ACCEPTED:
+                found += _words(prefix, axes)
+            elif verdict.__class__ is tuple:
+                # a split: each world goes on with its own letters
+                row, rest = verdict
+                row = row // form.stride * stride
+                spots = [(j, *parts[c]) for j, c in enumerate(rest)
+                         if c >= stride]
+                for choice in _worlds(axes):
+                    queue = rest.copy()
+                    for j, axis, vector in spots:
+                        queue[j] = vector[choice[axis]]
+                    if _decide(comp, row, queue, depth + 1) is _ACCEPTED:
+                        found.append(_word(prefix, axes, choice))
+            continue
         if end < runner.queue_below:
             # the run appends to appended, which the next pass trims to end
             verdict = _decide(comp, target, appended, depth + 1)
@@ -141,9 +190,32 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
             # both tables are probed at the same run
             if runner.runs == _MEMO_PROBE_RUNS and not shared:
                 subtrees = None
+                if runner.queue_below and form is None:
+                    form, tables, parts = _bundles(comp)
         if verdict is _ACCEPTED:
             found.append(tuple(prefix))
     return set(found)
+
+
+def _worlds(axes: tuple):
+    """The worlds of a node with axes: each picks one member of each axis,
+    by its index."""
+    return itertools.product(*(range(len(members)) for _, members in axes))
+
+
+def _word(prefix: list, axes: tuple, choice: tuple) -> Word:
+    """The word of a world (see _worlds): prefix with the members it picks
+    at the axes' positions."""
+    word = prefix.copy()
+    for (at, members), k in zip(axes, choice):
+        word[at] = members[k]
+    return tuple(word)
+
+
+def _words(prefix: list, axes: tuple) -> list:
+    """The word of each world of a node, prefix alone for one with no
+    axes."""
+    return [_word(prefix, axes, choice) for choice in _worlds(axes)]
 
 
 class _CompletionRuns:
@@ -303,21 +375,27 @@ def equivalent_up_to(a: Machine, b: Machine,
         raise ValueError("max_len must be at least 0")
     comps = _compile(a), _compile(b)  # refuses either before any run
     sigma = sorted(a.input_alphabet, key=comps[0].code.__getitem__)
-    (root_a, kids_a, verdict_a), (root_b, kids_b, verdict_b) = (
+    ((root_a, kids_a, verdict_a, runs_a),
+     (root_b, kids_b, verdict_b, runs_b)) = (
         _product_side(_verdict_form(c), sigma) for c in comps)
     empty = [m.mode is Mode.ET or m.accepts_empty for m in (a, b)]
     if empty[0] != empty[1]:
         return Counterexample((), *empty)
     # each layer's (node_a, node_b, link): link is (parent's link, letter),
     # so the words share their prefixes; seen holds the pairs of every
-    # layer after the root's
+    # layer after the root's while filing
     layer, seen = [(root_a, root_b, None)], set()
+    filing, met = True, False
     for depth in range(1, max_len + 1):
+        if (filing and not met and runs_a.memo is None
+                and runs_b.memo is None):
+            seen, filing = (), False
         below = []
         for node_a, node_b, link in layer:
             for x, to_a, to_b in zip(sigma, kids_a(node_a), kids_b(node_b)):
                 pair = to_a, to_b
                 if pair in seen:
+                    met = True
                     continue
                 in_a, in_b = verdict_a(to_a, depth), verdict_b(to_b, depth)
                 if in_a is not in_b:
@@ -325,7 +403,8 @@ def equivalent_up_to(a: Machine, b: Machine,
                 if depth == max_len or (to_a.__class__ is bool
                                         and to_b.__class__ is bool):
                     continue
-                seen.add(pair)
+                if filing:
+                    seen.add(pair)
                 below.append((to_a, to_b, (link, x)))
         layer = below
     return None
@@ -349,11 +428,133 @@ def _first_steps(comp: _Compiled) -> tuple:
     return comp.first_steps
 
 
+def _bundles(comp: _Compiled) -> tuple:
+    """(form, tables, parts), the bundle form of comp, a verdict form, and
+    what enumerate_accepted's walk needs of it; built on first use and
+    kept on comp.
+
+    A group of a row is two or more input letters whose first steps from
+    it (_first_steps) reach one row and write one letter each.  Its
+    vector letter is the tuple of the letters they write, or that letter
+    when they all write the same.  tables[k] maps each row to its slots,
+    in code order, for a node with k < _BUNDLE_AXES axes: (letter, first
+    step, None) for a letter in no group, and (its first member, (the row
+    it reaches, [the code of its vector letter on axis k]), its members)
+    for a group; none for a machine with no group.
+
+    The form has comp's rows, each widened to hold comp's letters and then
+    a block of vector letters for each axis, all with the same vectors:
+    those of the groups and those that its cells write.  parts maps the
+    code of a vector letter to (its axis, its vector).  A vector letter's
+    cell agrees when its components' cells have one next row and either
+    all erase or all write; it then moves there, and erases, writes their
+    one letter or writes the vector of their letters on its own axis.  Any
+    other vector cell has the next row form.split.  So until a run on the
+    form reaches such a cell it steps the run of every world at once, and
+    a letter code is the same on two tapes only when each world's letter
+    is.  A machine with no vector letter has comp as its form."""
+    if comp.bundles is not None:
+        return comp.bundles
+    next_row, output, stride = comp.next_row, comp.output, comp.stride
+    steps, rows = _first_steps(comp), range(0, len(next_row), stride)
+    sigma = sorted(comp.input_code, key=comp.code.__getitem__)
+
+    def letter(codes: tuple):
+        """The vector letter of codes: codes, or their one code."""
+        return codes if len(set(codes)) > 1 else codes[0]
+
+    def cell(row: int, vector: tuple):
+        """(next row, the letter written) of vector's cell in row, -1 for
+        an erasure; None where its components part ways."""
+        targets = {next_row[row + c] for c in vector}
+        outs = tuple(output[row + c] for c in vector)
+        if len(targets) > 1 or min(outs) < 0 <= max(outs):
+            return None
+        return targets.pop(), letter(outs)
+
+    groups = {}  # per row, each group's members and vector letter
+    index, block = {}, []  # the block's vectors, each by its place in it
+    for row in rows:
+        reach = {}
+        for x in sigma:
+            step = steps[row + comp.code[x]]
+            if step.__class__ is tuple and len(step[1]) == 1:
+                reach.setdefault(step[0], []).append((x, step[1][0]))
+        groups[row] = [(tuple(x for x, _ in g), letter(tuple(y for _, y in g)))
+                       for g in reach.values() if len(g) > 1]
+        block += (v for _, v in groups[row] if v.__class__ is tuple)
+    # a worklist: the groups' vectors, then those their cells write
+    for v in block:
+        if v not in index:
+            index[v] = len(index)
+            for row in rows:
+                step = cell(row, v)
+                if step and step[1].__class__ is tuple:
+                    block.append(step[1])
+    block = list(index)
+    width = len(block)
+    form_stride = stride + _BUNDLE_AXES * width
+
+    def moved(t: int) -> int:
+        """A next row of comp in the form's rows."""
+        if t >= 0:
+            return t // stride * form_stride
+        return t if t == -1 else -2 - (-2 - t) // stride * form_stride
+
+    def code(letter, axis: int) -> int:
+        """The code of a vector letter on axis, or of a plain letter."""
+        if letter.__class__ is tuple:
+            return stride + axis * width + index[letter]
+        return letter
+
+    form = comp
+    if block:
+        split = -2 - len(rows) * form_stride
+        rows_out, outs_out = [], []
+        for row in rows:
+            rows_out += map(moved, next_row[row:row + stride])
+            outs_out += output[row:row + stride]
+            cells = [cell(row, v) for v in block]
+            for axis in range(_BUNDLE_AXES):
+                for step in cells:
+                    if step is None:
+                        rows_out.append(split)
+                        outs_out.append(-1)
+                    else:
+                        rows_out.append(moved(step[0]))
+                        outs_out.append(code(step[1], axis))
+        form = replace(comp, stride=form_stride, start=moved(comp.start),
+                       next_row=tuple(rows_out), output=tuple(outs_out),
+                       split=split, empty_verdicts={
+                           moved(row): v
+                           for row, v in comp.empty_verdicts.items()},
+                       blocks=None, verdict=None, first_steps=None)
+    tables = []
+    for axis in range(_BUNDLE_AXES if any(groups.values()) else 0):
+        table = {}
+        for row in rows:
+            grouped = {x: g for g in groups[row] for x in g[0]}
+            table[row] = slots = []
+            for x in sigma:
+                step = steps[row + comp.code[x]]
+                if x not in grouped:
+                    slots.append((x, step, None))
+                elif grouped[x][0][0] == x:
+                    members, v = grouped[x]
+                    slots.append((x, (step[0], [code(v, axis)]), members))
+        tables.append(table)
+    parts = [None] * stride + [(axis, v) for axis in range(_BUNDLE_AXES)
+                               for v in block]
+    object.__setattr__(comp, "bundles", (form, tables, parts))
+    return comp.bundles
+
+
 def _product_side(comp: _Compiled, sigma: list) -> tuple:
-    """(root, kids, verdict) of one machine in equivalent_up_to's walk,
-    on comp, its verdict form.  A node is the row its first sweep reached
-    and the tape that sweep appended, as a key, or False or True when the
-    first sweep halted (_first_steps); those are their own children.
+    """(root, kids, verdict, runner) of one machine in equivalent_up_to's
+    walk, on comp, its verdict form; runner makes its completion runs.  A
+    node is the row its first sweep reached and the tape that sweep
+    appended, as a key, or False or True when the first sweep halted
+    (_first_steps); those are their own children.
     kids(node) lists a node's children in the order of sigma.
     verdict(node, depth) is the verdict of a node of depth at least 1,
     the same at every depth: depth only bounds the node's tape.  A node is
@@ -392,7 +593,7 @@ def _product_side(comp: _Compiled, sigma: list) -> tuple:
                 result = runner.run(row, tape, depth)
         return result is _ACCEPTED
 
-    return (comp.start, comp.key_of(())), kids, verdict
+    return (comp.start, comp.key_of(())), kids, verdict, runner
 
 
 def _spell(link) -> Word:

@@ -188,10 +188,13 @@ class _Compiled:
     at least ``gate`` letters take the block loop, on bytes only.
     ``empty_verdicts`` maps a row to the verdict of an ET run whose tape
     runs out there, Accepted for a row it lacks; only an ET verdict form
-    (see oracle._verdict_form) fills it.
-    ``blocks``, ``verdict`` (see oracle._verdict_form) and
-    ``first_steps`` (see oracle._first_steps) are built on first use and
-    kept."""
+    (see oracle._verdict_form) fills it.  ``split`` is below every
+    accepting value, and the next row of every cell of a bundle form
+    (see oracle._bundles) whose vector letter's components part ways;
+    no other form has such a cell.
+    ``blocks``, ``verdict`` (see oracle._verdict_form), ``first_steps``
+    (see oracle._first_steps) and ``bundles`` (see oracle._bundles) are
+    built on first use and kept."""
 
     letters: tuple
     code: dict
@@ -208,9 +211,11 @@ class _Compiled:
     key_of: type
     input_bytes: Optional[tuple]
     empty_verdicts: dict
+    split: int = -sys.maxsize
     blocks: Optional[tuple] = None
     verdict: Optional[_Compiled] = None
     first_steps: Optional[tuple] = None
+    bundles: Optional[tuple] = None
 
 
 # The gate of a machine with at most 256 letters; on shorter tapes blocks
@@ -653,7 +658,13 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int):
     A chunk of state_count * n steps that each write back the letter they
     read, on a tape of L <= n letters, meets one tape state_count + 1
     times, L steps apart, so a state repeats and the run is a loop.  This
-    is checked once per chunk."""
+    is checked once per chunk, so the run may start from any
+    configuration.
+
+    On a bundle form (see oracle._bundles) a cell whose next row is at or
+    below comp.split ends the run with no verdict: it returns (the row
+    before the cell, [the cell's letter, *the rest of the queue]), the
+    configuration that each word of the bundle goes on from."""
     next_row, output, count = comp.next_row, comp.output, comp.state_count
     write, letters = queue.append, iter(queue)  # letters yields appends too
     i = 0  # steps taken
@@ -664,6 +675,8 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int):
             at = row + c
             row = next_row[at]
             if row < 0:
+                if row <= comp.split:
+                    return at - c, [c, *letters]
                 return _STUCK if row == -1 else _ACCEPTED
             out = output[at]
             if out >= 0:

@@ -198,10 +198,13 @@ def test_enumerate_drops_the_subtree_table_at_the_probe(monkeypatch):
     object.__setattr__(comp, "key_of", key_of)
     assert enumerate_accepted(m, 12) == {w for w in words("ab", 12)
                                          if is_center_a(w)}
-    # no key repeats: every word gets its run, and no run after the probe
-    # is handed a key, so neither table was kept there
-    assert used[True] + used[False] == 2 ** 13 - 2
-    assert used["keyed"] == _MEMO_PROBE_RUNS
+    # no key repeats, and no run after the probe is handed a key, so
+    # neither table was kept there.  Past the probe sibling words share
+    # bundle runs: 136 of them, 44 of which split, and 2,546 queue runs
+    # for the worlds of those splits, where one run per word made
+    # 2 ** 13 - 2 runs
+    assert used[True] == used["keyed"] == _MEMO_PROBE_RUNS
+    assert used[False] == 136 + 2546
     # the walk keys the root and each node up to the probe, and no later one
     assert sum(walk_keys) == 1 + _MEMO_PROBE_RUNS
 
@@ -221,6 +224,86 @@ def test_enumerate_census_with_blocks_everywhere(monkeypatch):
     used = _table_use(monkeypatch)
     test_enumerate_census()
     assert used["keyed"] > used[True] > 0  # some long runs had no table
+
+
+def _bundle_use(monkeypatch) -> dict:
+    """Counts enumerate_accepted's bundle runs, simulate._decide runs on a
+    bundle form with vector letters, under "bundles", and those of them
+    that split under "splits".  Each bundle run checks that the walk has
+    dropped both its tables."""
+    used = {"bundles": 0, "splits": 0}
+    decide = oracle._decide
+
+    def counted_decide(comp, row, queue, n):
+        if comp.split == -sys.maxsize:  # no vector letters
+            return decide(comp, row, queue, n)
+        walk = sys._getframe(1).f_locals
+        assert walk["runner"].memo is None and walk["subtrees"] is None
+        used["bundles"] += 1
+        result = decide(comp, row, queue, n)
+        used["splits"] += result.__class__ is tuple
+        return result
+
+    monkeypatch.setattr(oracle, "_decide", counted_decide)
+    return used
+
+
+def test_enumerate_census_in_bundles(monkeypatch):
+    # past a probe of 8 runs, machines that drop both tables decide
+    # sibling words in bundle runs, and some of those split
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
+    used = _bundle_use(monkeypatch)
+    test_enumerate_census()
+    assert used["bundles"] > used["splits"] > 0
+
+
+def test_enumerate_random_constructions_in_bundles(monkeypatch):
+    """Each random machine, its bridge, remove_erasing of its AS form and
+    the complement and ET bridge of that."""
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
+    used = _bundle_use(monkeypatch)
+    for seed in range(240):
+        m = random_machine(seed)
+        a = et_to_as(m) if m.mode is Mode.ET else m
+        r = remove_erasing(a)
+        n = 6 if len(m.input_alphabet) < 3 else 4
+        for x in (m, as_to_et(m) if a is m else a, r, complement(r),
+                  as_to_et(r)):
+            assert enumerate_accepted(x, n) == run_language(x, n), seed
+    assert used["bundles"] > used["splits"] > 0
+
+
+def parting_pair():
+    """ET over a < b with working letters A < B.  The first sweep writes
+    A for a and B for b, from s and then in g.  From g both working letters
+    go to h, A erased and B written back; h is stuck on A and erases B.  So
+    the words are the empty word and a letter followed by b's."""
+    return make_machine(
+        sigma="ab", tape="ABab", start="s", accepting=(), mode=Mode.ET,
+        transitions={("s", "a"): ("g", "A"), ("s", "b"): ("g", "B"),
+                     ("g", "a"): ("g", "A"), ("g", "b"): ("g", "B"),
+                     ("g", "A"): ("h", None), ("g", "B"): ("h", "B"),
+                     ("h", "B"): ("h", None)})
+
+
+def test_enumerate_splits_where_one_sibling_erases_and_one_writes(
+        monkeypatch):
+    m = parting_pair()
+    comp = oracle._verdict_form(simulate._compile(m))
+    form, _, parts = oracle._bundles(comp)
+    row = {q: form.states.index(q) * form.stride for q in "sgh"}
+    vector = comp.stride  # axis 0's first vector letter, (A, B)
+    assert parts[vector] == (0, (0, 1))
+    # both components stick in s; g erases A and writes B, and h sticks
+    # on A and erases B, so those cells split
+    assert form.next_row[row["s"] + vector] == -1
+    assert form.next_row[row["g"] + vector] == form.split
+    assert form.next_row[row["h"] + vector] == form.split
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
+    used = _bundle_use(monkeypatch)
+    assert enumerate_accepted(m, 10) == run_language(m, 10) == {()} | {
+        (x, *"b" * k) for x in "ab" for k in range(10)}
+    assert used["bundles"] > used["splits"] > 0
 
 
 def test_enumerate_tape_wider_than_a_byte():
@@ -588,6 +671,42 @@ def test_equivalent_up_to_walks_a_returning_root_pair():
                      mode=Mode.ET, transitions=rows)
     assert equivalent_up_to(a, b, 3) == Counterexample(("a",), False, True)
     assert equivalent_up_to(a, b, 3) == equivalent_by_sets(a, b, 3)
+
+
+def test_equivalent_up_to_stops_filing_pairs_once_both_tables_drop(
+        monkeypatch):
+    """center_language's nodes do not come back, so once both machines'
+    verdict tables are dropped after a probe of 8 runs the walk frees the
+    set of pairs it met.  Balance's tables are kept past the default
+    probe, and so is the set."""
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
+    kinds = []
+    decide, core = oracle._decide, oracle._core
+
+    def walk_seen():
+        frame = sys._getframe(2)
+        while frame.f_code is not equivalent_up_to.__code__:
+            frame = frame.f_back
+        kinds.append(type(frame.f_locals["seen"]))
+
+    def spied_decide(*args):
+        walk_seen()
+        return decide(*args)
+
+    def spied_core(*args):
+        walk_seen()
+        return core(*args)
+
+    monkeypatch.setattr(oracle, "_decide", spied_decide)
+    monkeypatch.setattr(oracle, "_core", spied_core)
+    center = center_language()
+    assert equivalent_up_to(center, center_language(), 10) is None
+    assert kinds[0] is set and kinds[-1] is tuple
+    kinds.clear()
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", _MEMO_PROBE_RUNS)
+    assert equivalent_up_to(balance_ab_et(), et_to_as(balance_ab_et()),
+                            12) is None
+    assert len(kinds) > _MEMO_PROBE_RUNS and set(kinds) == {set}
 
 
 def test_equivalent_up_to_node_verdicts_stop_at_the_cap(monkeypatch):
