@@ -14,8 +14,8 @@ from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
 from .model import Machine, Mode, Word
-from .simulate import (_ACCEPTED, _LOOP, _STUCK, _Compiled, _compile, _core,
-                       _decide)
+from .simulate import (_ACCEPTED, _LOOP, _SPLIT, _STUCK, _Compiled, _compile,
+                       _core, _decide)
 
 
 # completion runs after which enumerate_accepted keeps its verdict table
@@ -106,8 +106,8 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     steps, stride = _first_steps(comp), comp.stride
     single = {row: [(x, steps[row + comp.code[x]], None) for x in sigma]
               for row in range(0, len(comp.next_row), stride)}
-    # the slots of a node with k axes are tables[k][row], or single's past
-    # the last table; each row's groups join them once bundles open
+    # the slots of a node with k axes are tables[k][row]; each row's groups
+    # join them once bundles open, with single's after the last axis
     tables = [single]
     form = parts = None  # the bundle form and its parts, once bundles open
     # the current node's word and what its first sweep wrote
@@ -160,8 +160,7 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
                 continue
             opened.append((key, len(found)))
         end = len(appended)
-        kids = tables[len(axes)] if len(axes) < len(tables) else single
-        stack.append((kids[target], 0, end, axes))
+        stack.append((tables[len(axes)][target], 0, end, axes))
         if axes:
             verdict = _decide(form, target // stride * form.stride, appended,
                               depth + 1)
@@ -192,6 +191,7 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
                 subtrees = None
                 if runner.queue_below and form is None:
                     form, tables, parts = _bundles(comp)
+                    tables = [*tables, single]
         if verdict is _ACCEPTED:
             found.append(tuple(prefix))
     return set(found)
@@ -347,7 +347,7 @@ def equivalent_up_to(a: Machine, b: Machine,
 
     One breadth-first walk over the product of the two machines' prefix
     DAGs, which stops at the first disagreement and walks no pair of nodes
-    twice (Hopcroft and Karp, 1971).
+    twice in one layer (Hopcroft and Karp, 1971).
     A machine's node is its node in enumerate_accepted's walk, on its
     verdict form: the row its first sweep reached and the tape that sweep
     appended.  Every word below goes on from there, so the node decides
@@ -368,6 +368,14 @@ def equivalent_up_to(a: Machine, b: Machine,
     while that holds the node.  The empty word's is the ET or
     accepts_empty rule instead, so the root pair is not marked as walked:
     it can come back deeper, where an AS run rejects.
+
+    Once both verdict tables are dropped and no pair has come back, the
+    walk keeps only the current layer's pairs, since on such machines the
+    set of every layer's grows with the walk and skips nothing.  A pair
+    walked again in a later layer has the verdicts and descendants it had
+    at the shorter depth, where they agreed, so the answer is the same.
+    The first pair that comes back makes the walk keep every layer's
+    pairs from then on.
     """
     if a.input_alphabet != b.input_alphabet:
         raise AlphabetMismatchError("machines read different input alphabets")
@@ -381,20 +389,17 @@ def equivalent_up_to(a: Machine, b: Machine,
     empty = [m.mode is Mode.ET or m.accepts_empty for m in (a, b)]
     if empty[0] != empty[1]:
         return Counterexample((), *empty)
-    # each layer's (node_a, node_b, link): link is (parent's link, letter),
-    # so the words share their prefixes; seen holds the pairs of every
-    # layer after the root's while filing
-    layer, seen = [(root_a, root_b, None)], set()
-    filing, met = True, False
+    # each layer maps its pairs (node_a, node_b) to their links: a link is
+    # (parent's link, letter), so the words share their prefixes; seen
+    # holds the pairs of the layers before, after the root's, but none once
+    # both tables are dropped until a pair comes back
+    layer, seen, met = {(root_a, root_b): None}, set(), False
     for depth in range(1, max_len + 1):
-        if (filing and not met and runs_a.memo is None
-                and runs_b.memo is None):
-            seen, filing = (), False
-        below = []
-        for node_a, node_b, link in layer:
+        below = {}
+        for (node_a, node_b), link in layer.items():
             for x, to_a, to_b in zip(sigma, kids_a(node_a), kids_b(node_b)):
                 pair = to_a, to_b
-                if pair in seen:
+                if pair in below or pair in seen:
                     met = True
                     continue
                 in_a, in_b = verdict_a(to_a, depth), verdict_b(to_b, depth)
@@ -403,9 +408,11 @@ def equivalent_up_to(a: Machine, b: Machine,
                 if depth == max_len or (to_a.__class__ is bool
                                         and to_b.__class__ is bool):
                     continue
-                if filing:
-                    seen.add(pair)
-                below.append((to_a, to_b, (link, x)))
+                below[pair] = link, x
+        if met or runs_a.memo is not None or runs_b.memo is not None:
+            seen.update(below)
+        else:
+            seen = set()
         layer = below
     return None
 
@@ -440,19 +447,23 @@ def _bundles(comp: _Compiled) -> tuple:
     in code order, for a node with k < _BUNDLE_AXES axes: (letter, first
     step, None) for a letter in no group, and (its first member, (the row
     it reaches, [the code of its vector letter on axis k]), its members)
-    for a group; none for a machine with no group.
+    for a group whose vector letter is plain or in the block; none for a
+    machine with no group.
 
     The form has comp's rows, each widened to hold comp's letters and then
     a block of vector letters for each axis, all with the same vectors:
-    those of the groups and those that its cells write.  parts maps the
-    code of a vector letter to (its axis, its vector).  A vector letter's
-    cell agrees when its components' cells have one next row and either
-    all erase or all write; it then moves there, and erases, writes their
+    those of the groups and then those that its cells write, breadth
+    first, up to comp.stride of them.  So the form is at most
+    1 + _BUNDLE_AXES times as wide as comp, however many vectors the cells
+    could write.  parts maps the code of a vector letter to (its axis, its
+    vector).  A vector letter's cell agrees when its components' cells
+    have one next row and either all erase or all write a plain letter or
+    a vector in the block; it then moves there, and erases, writes their
     one letter or writes the vector of their letters on its own axis.  Any
-    other vector cell has the next row form.split.  So until a run on the
-    form reaches such a cell it steps the run of every world at once, and
-    a letter code is the same on two tapes only when each world's letter
-    is.  A machine with no vector letter has comp as its form."""
+    other vector cell has the next row simulate._SPLIT.  So until a run on
+    the form reaches such a cell it steps the run of every world at once,
+    and a letter code is the same on two tapes only when each world's
+    letter is.  A machine with no vector letter has comp as its form."""
     if comp.bundles is not None:
         return comp.bundles
     next_row, output, stride = comp.next_row, comp.output, comp.stride
@@ -485,7 +496,7 @@ def _bundles(comp: _Compiled) -> tuple:
         block += (v for _, v in groups[row] if v.__class__ is tuple)
     # a worklist: the groups' vectors, then those their cells write
     for v in block:
-        if v not in index:
+        if v not in index and len(index) < stride:
             index[v] = len(index)
             for row in rows:
                 step = cell(row, v)
@@ -501,15 +512,16 @@ def _bundles(comp: _Compiled) -> tuple:
             return t // stride * form_stride
         return t if t == -1 else -2 - (-2 - t) // stride * form_stride
 
-    def code(letter, axis: int) -> int:
-        """The code of a vector letter on axis, or of a plain letter."""
+    def code(letter, axis: int) -> Optional[int]:
+        """The code of a vector letter on axis, None for one outside the
+        block, or the code of a plain letter."""
         if letter.__class__ is tuple:
-            return stride + axis * width + index[letter]
+            k = index.get(letter)
+            return None if k is None else stride + axis * width + k
         return letter
 
     form = comp
     if block:
-        split = -2 - len(rows) * form_stride
         rows_out, outs_out = [], []
         for row in rows:
             rows_out += map(moved, next_row[row:row + stride])
@@ -517,15 +529,16 @@ def _bundles(comp: _Compiled) -> tuple:
             cells = [cell(row, v) for v in block]
             for axis in range(_BUNDLE_AXES):
                 for step in cells:
-                    if step is None:
-                        rows_out.append(split)
+                    out = step and code(step[1], axis)
+                    if out is None:
+                        rows_out.append(_SPLIT)
                         outs_out.append(-1)
                     else:
                         rows_out.append(moved(step[0]))
-                        outs_out.append(code(step[1], axis))
+                        outs_out.append(out)
         form = replace(comp, stride=form_stride, start=moved(comp.start),
                        next_row=tuple(rows_out), output=tuple(outs_out),
-                       split=split, empty_verdicts={
+                       empty_verdicts={
                            moved(row): v
                            for row, v in comp.empty_verdicts.items()},
                        blocks=None, verdict=None, first_steps=None)
@@ -533,7 +546,8 @@ def _bundles(comp: _Compiled) -> tuple:
     for axis in range(_BUNDLE_AXES if any(groups.values()) else 0):
         table = {}
         for row in rows:
-            grouped = {x: g for g in groups[row] for x in g[0]}
+            grouped = {x: g for g in groups[row]
+                       if code(g[1], axis) is not None for x in g[0]}
             table[row] = slots = []
             for x in sigma:
                 step = steps[row + comp.code[x]]

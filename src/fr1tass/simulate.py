@@ -63,6 +63,10 @@ class Verdict(enum.Enum):
 _ACCEPTED, _STUCK, _LOOP, _EMPTY = (
     Verdict.ACCEPTED, Verdict.REJECTED_STUCK, Verdict.REJECTED_LOOP,
     Verdict.REJECTED_EMPTY_TAPE)
+# the next row of a bundle form's cells that cannot step every component
+# of their vector letter at once (see oracle._bundles), below every
+# accepting value
+_SPLIT = -sys.maxsize
 
 
 class SweepCase(enum.Enum):
@@ -188,10 +192,7 @@ class _Compiled:
     at least ``gate`` letters take the block loop, on bytes only.
     ``empty_verdicts`` maps a row to the verdict of an ET run whose tape
     runs out there, Accepted for a row it lacks; only an ET verdict form
-    (see oracle._verdict_form) fills it.  ``split`` is below every
-    accepting value, and the next row of every cell of a bundle form
-    (see oracle._bundles) whose vector letter's components part ways;
-    no other form has such a cell.
+    (see oracle._verdict_form) fills it.
     ``blocks``, ``verdict`` (see oracle._verdict_form), ``first_steps``
     (see oracle._first_steps) and ``bundles`` (see oracle._bundles) are
     built on first use and kept."""
@@ -211,7 +212,6 @@ class _Compiled:
     key_of: type
     input_bytes: Optional[tuple]
     empty_verdicts: dict
-    split: int = -sys.maxsize
     blocks: Optional[tuple] = None
     verdict: Optional[_Compiled] = None
     first_steps: Optional[tuple] = None
@@ -661,10 +661,10 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int):
     is checked once per chunk, so the run may start from any
     configuration.
 
-    On a bundle form (see oracle._bundles) a cell whose next row is at or
-    below comp.split ends the run with no verdict: it returns (the row
-    before the cell, [the cell's letter, *the rest of the queue]), the
-    configuration that each word of the bundle goes on from."""
+    On a bundle form (see oracle._bundles) a cell whose next row is
+    _SPLIT ends the run with no verdict: it returns (the row before the
+    cell, [the cell's letter, *the rest of the queue]), the configuration
+    that each word of the bundle goes on from."""
     next_row, output, count = comp.next_row, comp.output, comp.state_count
     write, letters = queue.append, iter(queue)  # letters yields appends too
     i = 0  # steps taken
@@ -675,7 +675,7 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int):
             at = row + c
             row = next_row[at]
             if row < 0:
-                if row <= comp.split:
+                if row == _SPLIT:
                     return at - c, [c, *letters]
                 return _STUCK if row == -1 else _ACCEPTED
             out = output[at]

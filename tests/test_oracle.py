@@ -1,6 +1,7 @@
 """Enumeration, comparison, predicates, and the unary classifier."""
 
 import random
+import signal
 import sys
 from dataclasses import replace
 
@@ -235,9 +236,9 @@ def _bundle_use(monkeypatch) -> dict:
     decide = oracle._decide
 
     def counted_decide(comp, row, queue, n):
-        if comp.split == -sys.maxsize:  # no vector letters
-            return decide(comp, row, queue, n)
         walk = sys._getframe(1).f_locals
+        if comp is not walk.get("form") or comp is walk["comp"]:
+            return decide(comp, row, queue, n)  # no vector letters
         assert walk["runner"].memo is None and walk["subtrees"] is None
         used["bundles"] += 1
         result = decide(comp, row, queue, n)
@@ -297,12 +298,59 @@ def test_enumerate_splits_where_one_sibling_erases_and_one_writes(
     # both components stick in s; g erases A and writes B, and h sticks
     # on A and erases B, so those cells split
     assert form.next_row[row["s"] + vector] == -1
-    assert form.next_row[row["g"] + vector] == form.split
-    assert form.next_row[row["h"] + vector] == form.split
+    assert form.next_row[row["g"] + vector] == simulate._SPLIT
+    assert form.next_row[row["h"] + vector] == simulate._SPLIT
     monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
     used = _bundle_use(monkeypatch)
     assert enumerate_accepted(m, 10) == run_language(m, 10) == {()} | {
         (x, *"b" * k) for x in "ab" for k in range(10)}
+    assert used["bundles"] > used["splits"] > 0
+
+
+def descending_maps():
+    """AS over x1..x8 with working letters W0 < ... < W19 below them.  The
+    first sweep stays in s and writes W20-k for xk, so the eight letters
+    form one group.  From s, W12 accepts, W13 leads to d, which lowers
+    every letter but W0 by one, and any other Wi leads to ri, which lowers
+    Wi alone.  The cells of d and the ri's would write about 400,000
+    vectors below the group's, and a run in d writes a new one each
+    sweep.  The words are those starting with x8."""
+    w = [f"W{i}" for i in range(20)]
+    rows = {("s", f"x{k}"): ("s", w[20 - k]) for k in range(1, 9)}
+    rows[("s", "W12")], rows[("s", "W13")] = ("y", "W12"), ("d", "W13")
+    rows.update({("d", y): ("d", w[max(j - 1, 0)]) for j, y in enumerate(w)})
+    for i in {*range(1, 20)} - {12, 13}:
+        rows[("s", w[i])] = (f"r{i}", w[i])
+        rows.update({(f"r{i}", y): (f"r{i}", w[i - 1] if y == w[i] else y)
+                     for y in w})
+    return make_machine(sigma=[f"x{k}" for k in range(1, 9)],
+                        tape=w + [f"x{k}" for k in range(1, 9)], start="s",
+                        accepting=("y",), mode=Mode.AS, transitions=rows)
+
+
+def test_enumerate_bounds_the_block_of_vector_letters(monkeypatch):
+    """The block of descending_maps' bundle form stops at the verdict
+    form's stride, and a cell writing a vector outside it splits; the
+    whole test runs within ten seconds."""
+    def late(*_):
+        raise TimeoutError("the bundle form took over ten seconds")
+
+    handler = signal.signal(signal.SIGALRM, late)
+    signal.alarm(10)
+    try:
+        m = descending_maps()
+        comp = oracle._verdict_form(simulate._compile(m))
+        form, _, _ = oracle._bundles(comp)
+        assert comp.stride < form.stride <= (
+            1 + oracle._BUNDLE_AXES) * comp.stride
+        assert simulate._SPLIT in form.next_row
+        monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
+        used = _bundle_use(monkeypatch)
+        assert enumerate_accepted(m, 4) == run_language(m, 4) == {
+            w for w in words(sorted(m.input_alphabet), 4) if w[:1] == ("x8",)}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
     assert used["bundles"] > used["splits"] > 0
 
 
@@ -677,17 +725,17 @@ def test_equivalent_up_to_stops_filing_pairs_once_both_tables_drop(
         monkeypatch):
     """center_language's nodes do not come back, so once both machines'
     verdict tables are dropped after a probe of 8 runs the walk frees the
-    set of pairs it met.  Balance's tables are kept past the default
-    probe, and so is the set."""
+    set of pairs of earlier layers.  Balance's tables are kept past the
+    default probe, and the set grows with the walk."""
     monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
-    kinds = []
+    sizes = []
     decide, core = oracle._decide, oracle._core
 
     def walk_seen():
         frame = sys._getframe(2)
         while frame.f_code is not equivalent_up_to.__code__:
             frame = frame.f_back
-        kinds.append(type(frame.f_locals["seen"]))
+        sizes.append(len(frame.f_locals["seen"]))
 
     def spied_decide(*args):
         walk_seen()
@@ -701,12 +749,47 @@ def test_equivalent_up_to_stops_filing_pairs_once_both_tables_drop(
     monkeypatch.setattr(oracle, "_core", spied_core)
     center = center_language()
     assert equivalent_up_to(center, center_language(), 10) is None
-    assert kinds[0] is set and kinds[-1] is tuple
-    kinds.clear()
+    assert max(sizes) > 0 == sizes[-1]
+    sizes.clear()
     monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", _MEMO_PROBE_RUNS)
     assert equivalent_up_to(balance_ab_et(), et_to_as(balance_ab_et()),
                             12) is None
-    assert len(kinds) > _MEMO_PROBE_RUNS and set(kinds) == {set}
+    assert len(sizes) > _MEMO_PROBE_RUNS and sizes == sorted(sizes)
+    assert sizes[-1] > sizes[_MEMO_PROBE_RUNS]
+
+
+def prefix_reader():
+    """AS over a < b with working letters A < B.  The first sweep writes A
+    for a and B for b over the first nine letters, in c0 to c9, and erases
+    the rest in c9.  From c9, A accepts and B is erased.  So the words are
+    those of nine letters or more with an a among the first nine, and each
+    node of depth 10 or more is the node of its first nine letters."""
+    rows = {(f"c{i}", x): (f"c{i + 1}", x.upper())
+            for i in range(9) for x in "ab"}
+    rows.update({("c9", "a"): ("c9", None), ("c9", "b"): ("c9", None),
+                 ("c9", "A"): ("y", "A"), ("c9", "B"): ("c9", None)})
+    return make_machine(sigma="ab", tape="ABab", start="c0",
+                        accepting=("y",), mode=Mode.AS, transitions=rows)
+
+
+def test_equivalent_up_to_walks_pairs_that_merge_after_the_probe(
+        monkeypatch):
+    """prefix_reader's nodes are all distinct up to depth 9, past a probe
+    of 8 runs, so the walk stops filing pairs.  At depth 10 the two
+    children of each node are one node, met again within the layer; from
+    there the walk files pairs again, and no deeper layer walks one.  So
+    the walk makes as many runs at any max_len from 11 as at 11."""
+    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
+    m = prefix_reader()
+    assert matches_predicate_up_to(
+        m, lambda w: len(w) >= 9 and "a" in w[:9], 12) is None
+    runs = []
+    for n in (11, 24):
+        used = _table_use(monkeypatch)
+        assert equivalent_up_to(m, prefix_reader(), n) is None
+        runs.append(used[True] + used[False])
+    # both machines run each pair of depth 1 to 10 once
+    assert runs == [2 * (2 ** 11 - 2 - 2 ** 9)] * 2
 
 
 def test_equivalent_up_to_node_verdicts_stop_at_the_cap(monkeypatch):
