@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
+from math import prod
 from typing import Callable, Optional
 
 from .exceptions import AlphabetMismatchError, PreconditionError
@@ -34,40 +35,37 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     """All accepted words of length at most max_len.
 
     Work is shared across common prefixes: the first sweep of a run only
-    ever touches input letters in order, so the walk over the prefix tree
-    carries each partial first sweep along and finishes full words from
-    their recorded mid-run position.  A prefix that gets stuck during the
-    first sweep kills its whole subtree, and a halting acceptance during
-    the first sweep accepts the whole subtree.
+    ever touches input letters in order, so a walk over prefixes carries
+    each partial first sweep along and finishes full words from their
+    recorded mid-run position.
 
-    The walk is over a DAG: a finished subtree is filed under (the row its
-    node's first sweep reached, the tape that sweep appended, max_len -
-    depth), the first sweep stepping by _first_steps.  Every word below
-    the node goes on with that first sweep from the same configuration,
-    so the key decides which suffixes are accepted.  A later node with a
-    known key copies the suffixes in the range the subtree's words take in
-    the walk-ordered list of words, with no completion run.  The table is
-    dropped after the first _MEMO_PROBE_RUNS completion runs if no node
-    has found its key, and it files no keys once it holds _MEMO_MAX_KEYS.  Each node's completion
-    run goes on from its first sweep, as _CompletionRuns sets out.
+    The walk goes one length at a time over the nodes of equivalent_up_to
+    (_product_side): a node is the row a first sweep reached and the tape
+    it appended, and every word below goes on from there.  A layer maps
+    each node to its links, (the parent's entry, the letter), so a node
+    that several prefixes reach is one node, run once, with a link per
+    parent.  A first sweep that gets stuck drops its node; one that
+    accepts puts its words in the cone, every extension of which is
+    accepted.  A plain node's verdict is _product_side's: the verdict
+    table's, else a completion run (_CompletionRuns).
 
-    A node's children are its row's slots (_bundles).  Once both tables
-    are dropped, a slot is a letter or a group: letters whose first steps
-    from the row reach one row and write one letter each.  A group's
-    child is a bundle node: its appended tape ends in a vector letter, the
-    tuple of the letters its members wrote, and it records one more axis,
-    its position and its members.  A world of a node picks one member of
-    each axis of its path, and the node stands for the word of each of
-    its worlds.  A path has at most _BUNDLE_AXES axes.  A bundle node's
-    completion run is one simulate._decide run on the bundle form, which
-    steps the runs of all its worlds at once while they agree, so its
-    verdict holds for every world; where they part ways it splits, and
-    each world goes on from there on the verdict form with its own
-    letters.  A first sweep that accepts adds every world's extensions.
-    Until a split, every cell a bundle run takes has one next row for all
-    worlds and erases in all or none of them, so their tapes stay aligned;
-    and two letter codes are equal only when every world's letters are,
-    so a loop cut holds for every world.
+    A node's children are its row's slots (_bundles): a letter, or a group
+    of letters whose first steps from the row reach one row and write
+    different letters.  A group's child is a bundle node: its tape ends in
+    a vector letter, the tuple of the letters its members wrote, and it
+    has one more axis, of as many worlds as members.  A world of a node
+    picks one member of each axis, and the node stands for the words of
+    each of its worlds, one per path of links.  Groups open at the root,
+    and a path has at most _BUNDLE_AXES axes.  A bundle node's
+    completion run is one simulate._decide run on
+    the bundle form, which steps the runs of all its worlds at once while
+    they agree, so its verdict holds for every world; where they part ways
+    it splits, and each world goes on from there on the verdict form with
+    its own letters.  Until a split, every cell a bundle run takes has one
+    next row for all worlds and erases in all or none of them, so their
+    tapes stay aligned; and two letter codes are equal only when every
+    world's letters are, so a loop cut holds for every world.  Words are
+    spelled only for accepted nodes (_spelled).
 
     The walk and the runs use the verdict form of m (_verdict_form), which
     accepts the same words with no pile of inert letters on its tapes.  A
@@ -98,124 +96,113 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     _compile(m) comes first, so a machine that is not freezing is refused
     even where the verdict form would erase its upward write.
     """
+    # the set is built once the walk and its verdict table are gone
+    return set().union(*_accepted_layers(m, max_len))
+
+
+def _accepted_layers(m: Machine, max_len: int):
+    """The accepted words of each length from 0 to max_len, a list per
+    length, by enumerate_accepted's walk."""
     if max_len < 0:
         raise ValueError("max_len must be at least 0")
     comp = _verdict_form(_compile(m))
-    found = [()] if m.mode is Mode.ET or m.accepts_empty else []
     sigma = sorted(m.input_alphabet, key=comp.code.__getitem__)
-    steps, stride = _first_steps(comp), comp.stride
-    single = {row: [(x, steps[row + comp.code[x]], None) for x in sigma]
-              for row in range(0, len(comp.next_row), stride)}
-    # the slots of a node with k axes are tables[k][row]; each row's groups
-    # join them once bundles open, with single's after the last axis
-    tables = [single]
-    form = parts = None  # the bundle form and its parts, once bundles open
-    # the current node's word and what its first sweep wrote
-    prefix, appended = [], []
-    # per node on the path from the root: its slots, the index of its next
-    # one, len(appended) at the node and the axes of its path
-    stack = [(single[comp.start], 0, 0, ())]
-    # while the subtree table is kept, per node on the path: its key and
-    # where its words start in found
-    subtrees: Optional[dict] = {}
-    opened = [((comp.start, comp.key_of(appended), max_len), 0)]
-    runner = _CompletionRuns(comp)
-    shared = 0
-    while stack:
-        slots, i, mark, axes = stack[-1]
-        depth = len(stack) - 1
-        del prefix[depth:], appended[mark:]
-        if i == len(slots) or depth == max_len:
-            stack.pop()
-            if subtrees is not None:
-                key, start = opened.pop()
-                if len(subtrees) < _MEMO_MAX_KEYS:
-                    subtrees[key] = slice(start, len(found))
+    root, _, verdict, _ = _product_side(comp, sigma)
+    form, tables, parts = _bundles(comp)
+    key_of = form.key_of
+    yield [()] if m.mode is Mode.ET or m.accepts_empty else []
+    # layer maps each node (row, tape, the number of worlds on each axis)
+    # to its entry: its words per world once accepted, then its links,
+    # each the parent's entry and the letter or group members; cone
+    # holds the layer's words below an accepting first step
+    layer, cone = {(*root, ()): [[[()]]]}, []
+    for depth in range(1, max_len + 1):
+        below, halts = {}, []
+        for (row, tape, arities), entry in layer.items():
+            for x, step in tables[len(arities)][row]:
+                if step.__class__ is bool:
+                    if step:
+                        halts.append((entry, x, arities))
+                    continue
+                target, written = step
+                if x.__class__ is tuple:  # a group's members
+                    node = target, key_of(tape) + written, (*arities, len(x))
+                else:
+                    node = target, tape + written, arities
+                below.setdefault(node, [None]).extend((entry, x))
+        cone = [w + (x,) for w in cone for x in sigma]
+        for entry, x, arities in halts:
+            cone += [w + (x,) for world in range(prod(arities))
+                     for w in _spelled(entry, world)]
+        found = cone.copy()
+        for (row, tape, arities), entry in below.items():
+            if arities:
+                worlds = _bundle_worlds(comp, form, parts, row, tape,
+                                        arities, depth)
+            else:
+                worlds = [0] if verdict((row, tape), depth) else []
+            words = [None] * prod(arities) if worlds else None
+            for world in worlds:
+                words[world] = spelled = _spelled(entry, world)
+                found += spelled
+            if depth < max_len:  # the last layer has no child to spell
+                entry[0] = words
+        yield found
+        layer = below
+
+
+def _bundle_worlds(comp: _Compiled, form: _Compiled, parts: list, row: int,
+                   tape, arities: tuple, depth: int) -> list:
+    """The accepting worlds of a bundle node of enumerate_accepted's walk:
+    one run on the bundle form, and one per world on comp from a split.
+    A world picks one member of each axis, where arities[k] is the number
+    of members of axis k.  It is numbered by its picks as digits, the last
+    axis's lowest, so where the link to a parent adds the last axis, the
+    world's number there is world // arities[-1]."""
+    stride = comp.stride
+    result = _decide(form, row // stride * form.stride, [*tape], depth)
+    if result is _ACCEPTED:
+        return range(prod(arities))
+    if result.__class__ is not tuple:
+        return []
+    # a split: each world goes on with its own letters
+    at, rest = result
+    at = at // form.stride * stride
+    spots = [(j, *parts[c]) for j, c in enumerate(rest) if c >= stride]
+    accepting = []
+    for world, picks in enumerate(itertools.product(*map(range, arities))):
+        queue = rest.copy()
+        for j, axis, vector in spots:
+            queue[j] = vector[picks[axis]]
+        if _decide(comp, at, queue, depth) is _ACCEPTED:
+            accepting.append(world)
+    return accepting
+
+
+def _spelled(entry: list, world: int) -> list:
+    """The words of a world (see _bundle_worlds) of an entry of
+    enumerate_accepted's walk, 0 for a plain node.
+
+    A backward walk over links, each step a pending (entry, world, the
+    letters after it), which stops at entries that hold the world's
+    words: the accepted ones but the last layer's, and the root.  A link
+    with a group's members is its child's last axis, of len(members)
+    worlds."""
+    out, todo = [], [(entry, world, ())]
+    while todo:
+        entry, world, tail = todo.pop()
+        words = entry[0] and entry[0][world]
+        if words is not None:
+            out += [w + tail for w in words]
             continue
-        stack[-1] = (slots, i + 1, mark, axes)
-        x, step, members = slots[i]
-        if step is False:
-            continue
-        if step is True:
-            for head in _words(prefix, axes):
-                head += x,
-                for r in range(max_len - depth):
-                    found.extend(head + tail for tail
-                                 in itertools.product(sigma, repeat=r))
-            continue
-        target, written = step
-        prefix.append(x)
-        appended += written
-        if members is not None:
-            axes += (depth, members),
-        if subtrees is not None:
-            tape = comp.key_of(appended)  # appended as a key, for _core too
-            key = target, tape, max_len - depth - 1
-            span = subtrees.get(key)
-            if span is not None:
-                # the next pass trims prefix and appended back to the parent
-                head = tuple(prefix)
-                found += [head + w[depth + 1:] for w in found[span]]
-                shared += 1
-                continue
-            opened.append((key, len(found)))
-        end = len(appended)
-        stack.append((tables[len(axes)][target], 0, end, axes))
-        if axes:
-            verdict = _decide(form, target // stride * form.stride, appended,
-                              depth + 1)
-            if verdict is _ACCEPTED:
-                found += _words(prefix, axes)
-            elif verdict.__class__ is tuple:
-                # a split: each world goes on with its own letters
-                row, rest = verdict
-                row = row // form.stride * stride
-                spots = [(j, *parts[c]) for j, c in enumerate(rest)
-                         if c >= stride]
-                for choice in _worlds(axes):
-                    queue = rest.copy()
-                    for j, axis, vector in spots:
-                        queue[j] = vector[choice[axis]]
-                    if _decide(comp, row, queue, depth + 1) is _ACCEPTED:
-                        found.append(_word(prefix, axes, choice))
-            continue
-        if end < runner.queue_below:
-            # the run appends to appended, which the next pass trims to end
-            verdict = _decide(comp, target, appended, depth + 1)
-        else:
-            if subtrees is None:
-                tape = comp.key_of(appended)
-            verdict = runner.run(target, tape, depth + 1)
-            # both tables are probed at the same run
-            if runner.runs == _MEMO_PROBE_RUNS and not shared:
-                subtrees = None
-                if runner.queue_below and form is None:
-                    form, tables, parts = _bundles(comp)
-                    tables = [*tables, single]
-        if verdict is _ACCEPTED:
-            found.append(tuple(prefix))
-    return set(found)
-
-
-def _worlds(axes: tuple):
-    """The worlds of a node with axes: each picks one member of each axis,
-    by its index."""
-    return itertools.product(*(range(len(members)) for _, members in axes))
-
-
-def _word(prefix: list, axes: tuple, choice: tuple) -> Word:
-    """The word of a world (see _worlds): prefix with the members it picks
-    at the axes' positions."""
-    word = prefix.copy()
-    for (at, members), k in zip(axes, choice):
-        word[at] = members[k]
-    return tuple(word)
-
-
-def _words(prefix: list, axes: tuple) -> list:
-    """The word of each world of a node, prefix alone for one with no
-    axes."""
-    return [_word(prefix, axes, choice) for choice in _worlds(axes)]
+        for i in range(1, len(entry), 2):
+            parent, x = entry[i], entry[i + 1]
+            if x.__class__ is tuple:
+                up, pick = divmod(world, len(x))
+                todo.append((parent, up, (x[pick], *tail)))
+            else:
+                todo.append((parent, world, (x, *tail)))
+    return out
 
 
 class _CompletionRuns:
@@ -441,14 +428,15 @@ def _bundles(comp: _Compiled) -> tuple:
     kept on comp.
 
     A group of a row is two or more input letters whose first steps from
-    it (_first_steps) reach one row and write one letter each.  Its
-    vector letter is the tuple of the letters they write, or that letter
-    when they all write the same.  tables[k] maps each row to its slots,
-    in code order, for a node with k < _BUNDLE_AXES axes: (letter, first
-    step, None) for a letter in no group, and (its first member, (the row
-    it reaches, [the code of its vector letter on axis k]), its members)
-    for a group whose vector letter is plain or in the block; none for a
-    machine with no group.
+    it (_first_steps) reach one row and write one letter each, not all
+    the same: letters that write the same letter reach one node anyway.
+    Its vector letter is the tuple of the letters they write.  tables[k]
+    maps each row to its slots for a node with k axes: (letter, first
+    step) for a letter in no group, and (its members, (the row they
+    reach, (the code of their vector letter on axis k,))) for a group
+    whose vector is in the block.  A step of tables[0] appends a key
+    (comp.key_of), of the others a tuple.  tables[_BUNDLE_AXES] has no
+    group, and a machine with no group has only tables[0].
 
     The form has comp's rows, each widened to hold comp's letters and then
     a block of vector letters for each axis, all with the same vectors:
@@ -469,10 +457,8 @@ def _bundles(comp: _Compiled) -> tuple:
     next_row, output, stride = comp.next_row, comp.output, comp.stride
     steps, rows = _first_steps(comp), range(0, len(next_row), stride)
     sigma = sorted(comp.input_code, key=comp.code.__getitem__)
-
-    def letter(codes: tuple):
-        """The vector letter of codes: codes, or their one code."""
-        return codes if len(set(codes)) > 1 else codes[0]
+    plain = {row: [(x, steps[row + comp.code[x]]) for x in sigma]
+             for row in rows}
 
     def cell(row: int, vector: tuple):
         """(next row, the letter written) of vector's cell in row, -1 for
@@ -481,19 +467,18 @@ def _bundles(comp: _Compiled) -> tuple:
         outs = tuple(output[row + c] for c in vector)
         if len(targets) > 1 or min(outs) < 0 <= max(outs):
             return None
-        return targets.pop(), letter(outs)
+        return targets.pop(), outs if len(set(outs)) > 1 else outs[0]
 
-    groups = {}  # per row, each group's members and vector letter
+    groups = {}  # per row, each group's members, first step and vector
     index, block = {}, []  # the block's vectors, each by its place in it
     for row in rows:
         reach = {}
-        for x in sigma:
-            step = steps[row + comp.code[x]]
+        for x, step in plain[row]:
             if step.__class__ is tuple and len(step[1]) == 1:
                 reach.setdefault(step[0], []).append((x, step[1][0]))
-        groups[row] = [(tuple(x for x, _ in g), letter(tuple(y for _, y in g)))
-                       for g in reach.values() if len(g) > 1]
-        block += (v for _, v in groups[row] if v.__class__ is tuple)
+        groups[row] = [(tuple(x for x, _ in g), tuple(y for _, y in g))
+                       for g in reach.values() if len({y for _, y in g}) > 1]
+        block += (v for _, v in groups[row])
     # a worklist: the groups' vectors, then those their cells write
     for v in block:
         if v not in index and len(index) < stride:
@@ -503,6 +488,9 @@ def _bundles(comp: _Compiled) -> tuple:
                 if step and step[1].__class__ is tuple:
                     block.append(step[1])
     block = list(index)
+    if not block:
+        object.__setattr__(comp, "bundles", (comp, [plain], None))
+        return comp.bundles
     width = len(block)
     form_stride = stride + _BUNDLE_AXES * width
 
@@ -520,52 +508,52 @@ def _bundles(comp: _Compiled) -> tuple:
             return None if k is None else stride + axis * width + k
         return letter
 
-    form = comp
-    if block:
-        rows_out, outs_out = [], []
-        for row in rows:
-            rows_out += map(moved, next_row[row:row + stride])
-            outs_out += output[row:row + stride]
-            cells = [cell(row, v) for v in block]
-            for axis in range(_BUNDLE_AXES):
-                for step in cells:
-                    out = step and code(step[1], axis)
-                    if out is None:
-                        rows_out.append(_SPLIT)
-                        outs_out.append(-1)
-                    else:
-                        rows_out.append(moved(step[0]))
-                        outs_out.append(out)
-        form = replace(comp, stride=form_stride, start=moved(comp.start),
-                       next_row=tuple(rows_out), output=tuple(outs_out),
-                       empty_verdicts={
-                           moved(row): v
-                           for row, v in comp.empty_verdicts.items()},
-                       blocks=None, verdict=None, first_steps=None)
+    rows_out, outs_out = [], []
+    for row in rows:
+        rows_out += map(moved, next_row[row:row + stride])
+        outs_out += output[row:row + stride]
+        cells = [cell(row, v) for v in block]
+        for axis in range(_BUNDLE_AXES):
+            for step in cells:
+                out = step and code(step[1], axis)
+                if out is None:
+                    rows_out.append(_SPLIT)
+                    outs_out.append(-1)
+                else:
+                    rows_out.append(moved(step[0]))
+                    outs_out.append(out)
+    key_of = bytes if form_stride <= 256 else tuple
+    form = replace(comp, stride=form_stride, start=moved(comp.start),
+                   next_row=tuple(rows_out), output=tuple(outs_out),
+                   empty_verdicts={moved(row): v
+                                   for row, v in comp.empty_verdicts.items()},
+                   key_of=key_of, blocks=None, verdict=None, first_steps=None)
+    keyed = {row: [(x, s if s.__class__ is bool else (s[0], key_of(s[1])))
+                   for x, s in slots] for row, slots in plain.items()}
     tables = []
-    for axis in range(_BUNDLE_AXES if any(groups.values()) else 0):
+    for axis in range(_BUNDLE_AXES):
         table = {}
         for row in rows:
-            grouped = {x: g for g in groups[row]
-                       if code(g[1], axis) is not None for x in g[0]}
             table[row] = slots = []
-            for x in sigma:
-                step = steps[row + comp.code[x]]
-                if x not in grouped:
-                    slots.append((x, step, None))
-                elif grouped[x][0][0] == x:
-                    members, v = grouped[x]
-                    slots.append((x, (step[0], [code(v, axis)]), members))
+            for members, v in groups[row]:
+                c = code(v, axis)
+                if c is not None:
+                    target = steps[row + comp.code[members[0]]][0]
+                    slots.append((members, (target, key_of((c,)))))
+            grouped = {x for members, _ in slots for x in members}
+            slots += (s for s in (keyed if axis else plain)[row]
+                      if s[0] not in grouped)
         tables.append(table)
     parts = [None] * stride + [(axis, v) for axis in range(_BUNDLE_AXES)
                                for v in block]
-    object.__setattr__(comp, "bundles", (form, tables, parts))
+    object.__setattr__(comp, "bundles", (form, [*tables, keyed], parts))
     return comp.bundles
 
 
 def _product_side(comp: _Compiled, sigma: list) -> tuple:
-    """(root, kids, verdict, runner) of one machine in equivalent_up_to's
-    walk, on comp, its verdict form; runner makes its completion runs.  A
+    """(root, kids, verdict, runner) of one machine in the prefix walks of
+    equivalent_up_to and enumerate_accepted, on comp, its verdict form;
+    runner makes its completion runs.  kids serves equivalent_up_to.  A
     node is the row its first sweep reached and the tape that sweep
     appended, as a key, or False or True when the first sweep halted
     (_first_steps); those are their own children.
@@ -623,15 +611,11 @@ def matches_predicate_up_to(m: Machine, predicate: Callable[[Word], bool],
                             max_len: int) -> Optional[Counterexample]:
     """None when the machine accepts exactly the words the predicate
     allows, up to max_len; otherwise the first disagreement in length
-    then letter order.  The language is enumerated up to a bound that
-    doubles, to at most max_len, each time the compared length passes it,
-    so a short disagreement costs a short enumeration."""
+    then letter order.  Each length is compared as enumerate_accepted's
+    walk reaches it, so a short disagreement costs a short walk."""
     sigma = sorted(m.input_alphabet, key=m.tape.rank)
-    bound = -1
-    for r in range(max_len + 1):
-        if r > bound:
-            bound = min(2 * r, max_len)
-            got = enumerate_accepted(m, bound)
+    for r, got in enumerate(_accepted_layers(m, max_len)):
+        got = set(got)
         for tup in itertools.product(sigma, repeat=r):
             machine_says = tup in got
             predicate_says = bool(predicate(tup))

@@ -75,11 +75,20 @@ def test_enumerate_handles_whole_cones():
     # all_a accepts during the first sweep, so every extension is in the cone
     got = enumerate_accepted(all_a(), 5)
     assert got == {tuple("a" * n) for n in range(1, 6)}
+    # one tape letter, so rows are 0, 1 and 2: s erases the first a, and
+    # a^n for n >= 2 enters y in its first sweep, the cone below row 1
+    m = make_machine(sigma="a", tape="a", start="s", accepting=("y",),
+                     mode=Mode.AS, transitions={("s", "a"): ("p", None),
+                                                ("p", "a"): ("y", "a")})
+    assert enumerate_accepted(m, 9) == run_language(m, 9) == {
+        ("a",) * n for n in range(2, 10)}
 
 
 def test_enumerate_rejects_negative_bound():
     with pytest.raises(ValueError):
         enumerate_accepted(all_a(), -1)
+    with pytest.raises(ValueError):
+        matches_predicate_up_to(all_a(), bool, -1)
 
 
 def test_enumerate_zero_bound():
@@ -123,6 +132,20 @@ def _table_use(monkeypatch) -> dict:
     return used
 
 
+def _runners(monkeypatch) -> list:
+    """Lists the _CompletionRuns of each enumeration or comparison, so a
+    test can read whether its verdict table was kept past the probe."""
+    runners = []
+
+    class Recorded(oracle._CompletionRuns):
+        def __init__(self, comp):
+            super().__init__(comp)
+            runners.append(self)
+
+    monkeypatch.setattr(oracle, "_CompletionRuns", Recorded)
+    return runners
+
+
 def _refuse_runs(monkeypatch):
     """Makes any completion run by _core or _decide fail at once, so a
     machine that must be refused before one starts cannot run on."""
@@ -134,19 +157,17 @@ def _refuse_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("build, n, kept", [
-    (balance_ab_et, 10, True),
-    (lambda: et_to_as(balance_ab_et()), 10, True),
-    (center_language, 10, False),
-    (marked_copy, 9, False),
+    (balance_ab_et, 12, True),
+    (lambda: et_to_as(balance_ab_et()), 12, True),
+    (lambda: union(center_language(), et_to_as(balance_ab_et())), 10, False),
     (power_of_two, _MEMO_PROBE_RUNS + 8, False),
-], ids=["balance_ab_et", "et_to_as_balance", "center_language",
-        "marked_copy", "power_of_two"])
+], ids=["balance_ab_et", "et_to_as_balance", "union", "power_of_two"])
 def test_enumerate_verdict_table_past_the_probe(monkeypatch, build, n, kept):
     m = build()
-    used = _table_use(monkeypatch)
+    used, runners = _table_use(monkeypatch), _runners(monkeypatch)
     assert enumerate_accepted(m, n) == run_language(m, n)
     assert used[True] >= _MEMO_PROBE_RUNS
-    assert (used[False] == 0) is kept
+    assert (runners[-1].memo is not None) is kept
 
 
 @pytest.mark.parametrize("probe", [_MEMO_PROBE_RUNS, 8])
@@ -173,7 +194,7 @@ def test_enumerate_verdict_table_stops_filing_at_the_cap(monkeypatch):
 
 def test_enumerate_shares_subtrees(monkeypatch):
     used = _table_use(monkeypatch)
-    # a prefix's parity decides the subtree: two keys per depth
+    # a prefix's parity decides the subtree: two nodes per depth
     assert enumerate_accepted(even_length(), 12) == {
         w for w in words("ab", 12) if len(w) % 2 == 0}
     assert used[True] + used[False] <= 2 * 12
@@ -185,29 +206,20 @@ def test_enumerate_shares_subtrees(monkeypatch):
     assert used[True] + used[False] < 2 ** 13 - 2
 
 
-def test_enumerate_drops_the_subtree_table_at_the_probe(monkeypatch):
+def test_enumerate_bundles_from_the_root(monkeypatch):
+    """center's two letters reach one row and write different letters from
+    every row, so every node below the root is a bundle node: no run is
+    made by _core, and sibling words share bundle runs from the root."""
     used = _table_use(monkeypatch)
+    bundles = _bundle_use(monkeypatch)
     m = center_language()
-    comp = simulate._compile(m)
-    walk_keys = []  # keys the walk makes itself, not inside a run
-
-    def key_of(codes, make=comp.key_of):
-        caller = sys._getframe(1).f_code
-        walk_keys.append(caller is enumerate_accepted.__code__)
-        return make(codes)
-
-    object.__setattr__(comp, "key_of", key_of)
     assert enumerate_accepted(m, 12) == {w for w in words("ab", 12)
                                          if is_center_a(w)}
-    # no key repeats, and no run after the probe is handed a key, so
-    # neither table was kept there.  Past the probe sibling words share
-    # bundle runs: 136 of them, 44 of which split, and 2,546 queue runs
-    # for the worlds of those splits, where one run per word made
-    # 2 ** 13 - 2 runs
-    assert used[True] == used["keyed"] == _MEMO_PROBE_RUNS
-    assert used[False] == 136 + 2546
-    # the walk keys the root and each node up to the probe, and no later one
-    assert sum(walk_keys) == 1 + _MEMO_PROBE_RUNS
+    # 132 bundle runs, 45 of which split, and 2,730 queue runs for the
+    # worlds of those splits, where one run per word made 2 ** 13 - 2 runs
+    assert used["keyed"] == used[True] == 0
+    assert (bundles["bundles"], bundles["splits"]) == (132, 45)
+    assert used[False] == 132 + 2730
 
 
 def test_enumerate_census():
@@ -230,8 +242,7 @@ def test_enumerate_census_with_blocks_everywhere(monkeypatch):
 def _bundle_use(monkeypatch) -> dict:
     """Counts enumerate_accepted's bundle runs, simulate._decide runs on a
     bundle form with vector letters, under "bundles", and those of them
-    that split under "splits".  Each bundle run checks that the walk has
-    dropped both its tables."""
+    that split under "splits"."""
     used = {"bundles": 0, "splits": 0}
     decide = oracle._decide
 
@@ -239,7 +250,6 @@ def _bundle_use(monkeypatch) -> dict:
         walk = sys._getframe(1).f_locals
         if comp is not walk.get("form") or comp is walk["comp"]:
             return decide(comp, row, queue, n)  # no vector letters
-        assert walk["runner"].memo is None and walk["subtrees"] is None
         used["bundles"] += 1
         result = decide(comp, row, queue, n)
         used["splits"] += result.__class__ is tuple
@@ -250,8 +260,9 @@ def _bundle_use(monkeypatch) -> dict:
 
 
 def test_enumerate_census_in_bundles(monkeypatch):
-    # past a probe of 8 runs, machines that drop both tables decide
-    # sibling words in bundle runs, and some of those split
+    # with a probe of 8 runs, machines that keep the verdict table and
+    # machines that drop it decide sibling words in bundle runs, and some
+    # of those split
     monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
     used = _bundle_use(monkeypatch)
     test_enumerate_census()
@@ -300,26 +311,27 @@ def test_enumerate_splits_where_one_sibling_erases_and_one_writes(
     assert form.next_row[row["s"] + vector] == -1
     assert form.next_row[row["g"] + vector] == simulate._SPLIT
     assert form.next_row[row["h"] + vector] == simulate._SPLIT
-    monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
     used = _bundle_use(monkeypatch)
     assert enumerate_accepted(m, 10) == run_language(m, 10) == {()} | {
         (x, *"b" * k) for x in "ab" for k in range(10)}
-    assert used["bundles"] > used["splits"] > 0
+    # every bundle tape starts with the root's vector letter, which g splits
+    assert used["bundles"] == used["splits"] > 0
 
 
-def descending_maps():
-    """AS over x1..x8 with working letters W0 < ... < W19 below them.  The
-    first sweep stays in s and writes W20-k for xk, so the eight letters
-    form one group.  From s, W12 accepts, W13 leads to d, which lowers
-    every letter but W0 by one, and any other Wi leads to ri, which lowers
-    Wi alone.  The cells of d and the ri's would write about 400,000
-    vectors below the group's, and a run in d writes a new one each
-    sweep.  The words are those starting with x8."""
-    w = [f"W{i}" for i in range(20)]
-    rows = {("s", f"x{k}"): ("s", w[20 - k]) for k in range(1, 9)}
-    rows[("s", "W12")], rows[("s", "W13")] = ("y", "W12"), ("d", "W13")
+def descending_maps(n: int = 20):
+    """AS over x1..x8 with working letters W0 < ... < Wn-1 below them.
+    The first sweep stays in s and writes Wn-k for xk, so the eight
+    letters form one group.  From s, Wn-8 accepts, Wn-7 leads to d, which
+    lowers every letter but W0 by one, and any other Wi leads to ri, which
+    lowers Wi alone.  With n = 20 the cells of d and the ri's would write
+    about 400,000 vectors below the group's, and a run in d writes a new
+    one each sweep.  The words are those starting with x8."""
+    w = [f"W{i}" for i in range(n)]
+    rows = {("s", f"x{k}"): ("s", w[n - k]) for k in range(1, 9)}
+    rows[("s", w[n - 8])], rows[("s", w[n - 7])] = ("y", w[n - 8]), (
+        "d", w[n - 7])
     rows.update({("d", y): ("d", w[max(j - 1, 0)]) for j, y in enumerate(w)})
-    for i in {*range(1, 20)} - {12, 13}:
+    for i in {*range(1, n)} - {n - 8, n - 7}:
         rows[("s", w[i])] = (f"r{i}", w[i])
         rows.update({(f"r{i}", y): (f"r{i}", w[i - 1] if y == w[i] else y)
                      for y in w})
@@ -331,27 +343,49 @@ def descending_maps():
 def test_enumerate_bounds_the_block_of_vector_letters(monkeypatch):
     """The block of descending_maps' bundle form stops at the verdict
     form's stride, and a cell writing a vector outside it splits; the
-    whole test runs within ten seconds."""
+    whole test runs within ten seconds.  With 40 working letters the
+    verdict form's codes fit in a byte and the bundle form's do not."""
     def late(*_):
         raise TimeoutError("the bundle form took over ten seconds")
 
+    used = _bundle_use(monkeypatch)
     handler = signal.signal(signal.SIGALRM, late)
     signal.alarm(10)
     try:
-        m = descending_maps()
-        comp = oracle._verdict_form(simulate._compile(m))
-        form, _, _ = oracle._bundles(comp)
-        assert comp.stride < form.stride <= (
-            1 + oracle._BUNDLE_AXES) * comp.stride
-        assert simulate._SPLIT in form.next_row
-        monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
-        used = _bundle_use(monkeypatch)
-        assert enumerate_accepted(m, 4) == run_language(m, 4) == {
-            w for w in words(sorted(m.input_alphabet), 4) if w[:1] == ("x8",)}
+        for n in (20, 40):
+            m = descending_maps(n)
+            comp = oracle._verdict_form(simulate._compile(m))
+            form, _, _ = oracle._bundles(comp)
+            assert comp.stride < form.stride <= (
+                1 + oracle._BUNDLE_AXES) * comp.stride
+            assert (comp.stride <= 256 < form.stride) is (n == 40)
+            assert simulate._SPLIT in form.next_row
+            assert enumerate_accepted(m, 4) == run_language(m, 4) == {
+                w for w in words(sorted(m.input_alphabet), 4)
+                if w[:1] == ("x8",)}
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
-    assert used["bundles"] > used["splits"] > 0
+    # every bundle tape starts with the root's vector letter, whose cell
+    # in s parts ways
+    assert used["bundles"] == used["splits"] > 0
+
+
+def test_enumerate_cone_below_a_bundle_node(monkeypatch):
+    """a and b write A and B and stay in g, so the root's slot is a group;
+    from g, a accepts in the first sweep.  So every word with an a after
+    its first letter is accepted, in the cone below a bundle node, for
+    both of the bundle's worlds."""
+    m = make_machine(sigma="ab", tape="ABab", start="s", accepting=("y",),
+                     mode=Mode.AS,
+                     transitions={("s", "a"): ("g", "A"),
+                                  ("s", "b"): ("g", "B"),
+                                  ("g", "a"): ("y", "a"),
+                                  ("g", "b"): ("g", "b")})
+    used = _bundle_use(monkeypatch)
+    assert enumerate_accepted(m, 8) == run_language(m, 8) == {
+        w for w in words("ab", 8) if "a" in w[1:]}
+    assert used["bundles"] > 0
 
 
 def test_enumerate_tape_wider_than_a_byte():
@@ -443,34 +477,33 @@ def test_enumerate_shares_one_capped_chunk_memo(monkeypatch, build, cap):
 
 
 def test_enumerate_verdict_table_on_random_general_machines(monkeypatch):
-    used = _table_use(monkeypatch)
+    runners = _runners(monkeypatch)
     seeds = [seed for seed in range(100)
              if len(random_machine(seed).input_alphabet) > 1][:40]
     kept = dropped = 0
     for seed in seeds:
         m = random_machine(seed)
-        n = 6 if len(m.input_alphabet) == 3 else 9
-        before = dict(used)
+        n = 8 if len(m.input_alphabet) == 3 else 12
         assert enumerate_accepted(m, n) == run_language(m, n), seed
-        if used[False] > before[False]:
+        if runners[-1].memo is None:
             dropped += 1
-        elif used[True] - before[True] > _MEMO_PROBE_RUNS:
+        elif runners[-1].runs > _MEMO_PROBE_RUNS:
             kept += 1
     assert kept and dropped  # both sides of the probe were checked
 
 
 @pytest.mark.parametrize("build, runs, hits", [
-    (balance_ab_et, 1580, 1533),
-    (lambda: et_to_as(balance_ab_et()), 1944, 1909),
-    (lambda: as_to_et(et_to_as(balance_ab_et())), 1944, 1890),
+    (balance_ab_et, 995, 948),
+    (lambda: et_to_as(balance_ab_et()), 1217, 1182),
+    (lambda: as_to_et(et_to_as(balance_ab_et())), 1226, 1172),
 ], ids=["balance_ab_et", "et_to_as", "as_to_et_et_to_as"])
 def test_enumerate_verdict_table_hits_at_twelve(monkeypatch, build, runs, hits):
     """Loop runs end at their first repeated sweep boundary, which files
     the same keys as running on to the cut: the routing and hits hold.
     The two bridges run their verdict forms, which keep the placeholder
-    off the tape, so their subtrees share.  The ET one flags its rows
-    where the placeholder is written, and these meet the same keys as
-    the AS one, so both make as many runs."""
+    off the tape, so their prefixes meet in shared nodes.  The ET one
+    flags its rows where the placeholder is written, and makes 9 runs
+    more than the AS one."""
     used = _table_use(monkeypatch)
     assert enumerate_accepted(build(), 12) == {
         w for w in words("ab", 12) if is_balanced_ab(w)}
@@ -693,7 +726,7 @@ def test_equivalent_up_to_runs_each_node_once(monkeypatch):
     walk = used[True] + used[False]
     enumerate_accepted(b, 12)
     enumerate_accepted(ba, 12)
-    assert walk == 2203 < used[True] + used[False] - walk == 3524
+    assert walk == 2203 < used[True] + used[False] - walk == 995 + 1217
 
 
 def test_equivalent_up_to_runs_the_et_bridge_without_its_placeholder(
@@ -901,18 +934,19 @@ def test_predicate_mismatch_reports_least_word():
 
 
 def test_predicate_mismatch_stops_at_the_first_disagreeing_length(monkeypatch):
-    """center takes a: the words up to length 2 decide it, however long
-    max_len is."""
-    bounds, enumerate_ = [], oracle.enumerate_accepted
+    """center takes a: the layers of lengths 0 and 1 decide it, however
+    long max_len is."""
+    taken, layers = [], oracle._accepted_layers
 
     def spied(m, max_len):
-        bounds.append(max_len)
-        return enumerate_(m, max_len)
+        for words in layers(m, max_len):
+            taken.append(len(words))
+            yield words
 
-    monkeypatch.setattr(oracle, "enumerate_accepted", spied)
+    monkeypatch.setattr(oracle, "_accepted_layers", spied)
     cex = matches_predicate_up_to(center_language(), lambda w: False, 14)
     assert cex == Counterexample(word=("a",), in_first=True, in_second=False)
-    assert bounds and max(bounds) <= 2
+    assert taken == [0, 1]  # no word of length 0, ("a",) of length 1
 
 
 def test_predicate_values():
