@@ -13,7 +13,7 @@ import sys
 from . import gallery, oracle, pcp, transform
 from .exceptions import Fr1tassError
 from .model import Machine, parse_machine, serialize_machine, to_dot, validate
-from .simulate import RunLimits, run
+from .simulate import RunLimits, _compile, run
 
 
 def _read(path: str) -> str:
@@ -68,9 +68,13 @@ def cmd_run(args) -> int:
 
 def cmd_enumerate(args) -> int:
     m = _load(args.machine)
-    words = sorted(oracle.enumerate_accepted(m, args.max_len),
-                   key=oracle._word_key(m))
-    sys.stdout.write("".join(" ".join(w) + "\n" for w in words))
+    # by length, then letter by letter in tape order; a length's words are
+    # distinct, and a string of letter codes sorts them as the codes do
+    code = {x: chr(c) for x, c in _compile(m).code.items()}.__getitem__
+    layers = list(oracle._accepted_layers(m, args.max_len))
+    for words in layers:
+        words.sort(key=lambda w: "".join(map(code, w)))
+        sys.stdout.write("".join(" ".join(w) + "\n" for w in words))
     return 0
 
 

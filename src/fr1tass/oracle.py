@@ -25,10 +25,10 @@ _MEMO_PROBE_RUNS = 512
 _MEMO_HIT_SHARE = 0.5
 # the most keys a kept table holds; once full, lookups go on
 _MEMO_MAX_KEYS = 1 << 16
-# the most axes on a path of enumerate_accepted's walk; a split resumes
-# every world of its bundle, and the benchmark's enumerate ops ran no
-# faster with more
-_BUNDLE_AXES = 6
+# the most axes on a path of enumerate_accepted's walk; the bundle form is
+# at most 1 + _BUNDLE_AXES times as wide as the verdict form, and the
+# benchmark's enumerate ops ran 9% faster at 8 than at 6, as fast at 10
+_BUNDLE_AXES = 8
 
 
 def enumerate_accepted(m: Machine, max_len: int) -> set:
@@ -57,15 +57,16 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     picks one member of each axis, and the node stands for the words of
     each of its worlds, one per path of links.  Groups open at the root,
     and a path has at most _BUNDLE_AXES axes.  A bundle node's
-    completion run is one simulate._decide run on
-    the bundle form, which steps the runs of all its worlds at once while
-    they agree, so its verdict holds for every world; where they part ways
-    it splits, and each world goes on from there on the verdict form with
-    its own letters.  Until a split, every cell a bundle run takes has one
-    next row for all worlds and erases in all or none of them, so their
-    tapes stay aligned; and two letter codes are equal only when every
-    world's letters are, so a loop cut holds for every world.  Words are
-    spelled only for accepted nodes (_spelled).
+    completion run is a simulate._decide run on the bundle form, which
+    steps the runs of all its worlds at once while they agree, so its
+    verdict holds for every world; where they part ways it splits, and
+    forks on the axis that parted into a run on the form per member, each
+    with the other axes still bundled (_bundle_worlds).  Until a split,
+    every cell a bundle run takes has one next row for all worlds and
+    erases in all or none of them, so their tapes stay aligned; and two
+    letter codes are equal only when every world's letters are, so a loop
+    cut holds for every world.  Words are spelled only for accepted nodes
+    (_spelled).
 
     The walk and the runs use the verdict form of m (_verdict_form), which
     accepts the same words with no pile of inert letters on its tapes.  A
@@ -153,29 +154,41 @@ def _accepted_layers(m: Machine, max_len: int):
 
 def _bundle_worlds(comp: _Compiled, form: _Compiled, parts: list, row: int,
                    tape, arities: tuple, depth: int) -> list:
-    """The accepting worlds of a bundle node of enumerate_accepted's walk:
-    one run on the bundle form, and one per world on comp from a split.
-    A world picks one member of each axis, where arities[k] is the number
-    of members of axis k.  It is numbered by its picks as digits, the last
-    axis's lowest, so where the link to a parent adds the last axis, the
-    world's number there is world // arities[-1]."""
+    """The accepting worlds of a bundle node of enumerate_accepted's walk,
+    by runs on the bundle form.  A world picks one member of each axis,
+    where arities[k] is the number of members of axis k.  It is numbered
+    by its picks as digits, the last axis's lowest, so where the link to a
+    parent adds the last axis, the world's number there is
+    world // arities[-1].
+
+    Each run carries the picks fixed so far, None on an axis that has not
+    parted, and stands for the worlds that agree with them.  A run that
+    splits parts on the axis k of its split cell's vector letter: it forks
+    into arities[k] runs from the split, where run j has each vector
+    letter of axis k replaced by its component j.  A cell on an axis-k
+    vector writes one on axis k, so that is the configuration of the
+    worlds that pick j on axis k, and the other axes stay bundled.  An
+    axis that parts never comes back, so a world's path is a chain of at
+    most len(arities) splits."""
     stride = comp.stride
-    result = _decide(form, row // stride * form.stride, [*tape], depth)
-    if result is _ACCEPTED:
-        return range(prod(arities))
-    if result.__class__ is not tuple:
-        return []
-    # a split: each world goes on with its own letters
-    at, rest = result
-    at = at // form.stride * stride
-    spots = [(j, *parts[c]) for j, c in enumerate(rest) if c >= stride]
     accepting = []
-    for world, picks in enumerate(itertools.product(*map(range, arities))):
-        queue = rest.copy()
-        for j, axis, vector in spots:
-            queue[j] = vector[picks[axis]]
-        if _decide(comp, at, queue, depth) is _ACCEPTED:
-            accepting.append(world)
+    todo = [(row // stride * form.stride, [*tape], (None,) * len(arities))]
+    while todo:
+        at, queue, picks = todo.pop()
+        result = _decide(form, at, queue, depth)
+        if result is _ACCEPTED:
+            worlds = [0]
+            for arity, pick in zip(arities, picks):
+                worlds = [w * arity + j for w in worlds
+                          for j in (range(arity) if pick is None else (pick,))]
+            accepting += worlds
+        elif result.__class__ is tuple:
+            at, rest = result
+            k = parts[rest[0]][0]
+            for j in range(arities[k]):
+                queue = [c if c < stride or parts[c][0] != k
+                         else parts[c][1][j] for c in rest]
+                todo.append((at, queue, (*picks[:k], j, *picks[k + 1:])))
     return accepting
 
 
@@ -317,13 +330,6 @@ class Counterexample:
     word: Word
     in_first: bool
     in_second: bool
-
-
-def _word_key(m: Machine) -> Callable[[Word], tuple]:
-    """Sort key of m's words: by length, then letter by letter in tape
-    order (the order of the letter codes)."""
-    rank = _compile(m).code.__getitem__
-    return lambda w: (len(w), *map(rank, w))
 
 
 def equivalent_up_to(a: Machine, b: Machine,

@@ -664,7 +664,7 @@ def _decide(comp: _Compiled, row: int, queue: list, n: int):
     On a bundle form (see oracle._bundles) a cell whose next row is
     _SPLIT ends the run with no verdict: it returns (the row before the
     cell, [the cell's letter, *the rest of the queue]), the configuration
-    that each word of the bundle goes on from."""
+    that the bundle's runs forked on the parting axis go on from."""
     next_row, output, count = comp.next_row, comp.output, comp.state_count
     write, letters = queue.append, iter(queue)  # letters yields appends too
     i = 0  # steps taken

@@ -152,7 +152,7 @@ def test_runtime_errors_exit_two(power_file, monkeypatch, capsys):
     def fail(m, max_len):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(oracle, "enumerate_accepted", fail)
+    monkeypatch.setattr(oracle, "_accepted_layers", fail)
     assert main(["enumerate", power_file, "--max-len", "3"]) == 2
     assert capsys.readouterr().err == (
         "error: maximum recursion depth exceeded\n")

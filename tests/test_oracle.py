@@ -215,11 +215,13 @@ def test_enumerate_bundles_from_the_root(monkeypatch):
     m = center_language()
     assert enumerate_accepted(m, 12) == {w for w in words("ab", 12)
                                          if is_center_a(w)}
-    # 132 bundle runs, 45 of which split, and 2,730 queue runs for the
-    # worlds of those splits, where one run per word made 2 ** 13 - 2 runs
+    # 38 bundle runs and 28 runs forked from splits, 14 runs splitting,
+    # where one run per word made 2 ** 13 - 2 runs
     assert used["keyed"] == used[True] == 0
-    assert (bundles["bundles"], bundles["splits"]) == (132, 45)
-    assert used[False] == 132 + 2730
+    assert (bundles["bundles"], bundles["subs"], bundles["splits"]) == (
+        38, 28, 14)
+    assert bundles["subs"] == bundles["forks"]
+    assert used[False] == 38 + 28
 
 
 def test_enumerate_census():
@@ -240,19 +242,25 @@ def test_enumerate_census_with_blocks_everywhere(monkeypatch):
 
 
 def _bundle_use(monkeypatch) -> dict:
-    """Counts enumerate_accepted's bundle runs, simulate._decide runs on a
-    bundle form with vector letters, under "bundles", and those of them
-    that split under "splits"."""
-    used = {"bundles": 0, "splits": 0}
+    """Counts enumerate_accepted's runs on a bundle form with vector
+    letters: a bundle node's first run under "bundles", the runs forked
+    from a split under "subs", and the runs of either kind that split under
+    "splits"; adds up under "forks" the worlds on the axis each split
+    parts, as many runs as it forks into."""
+    used = {"bundles": 0, "subs": 0, "splits": 0, "forks": 0}
     decide = oracle._decide
 
     def counted_decide(comp, row, queue, n):
         walk = sys._getframe(1).f_locals
         if comp is not walk.get("form") or comp is walk["comp"]:
             return decide(comp, row, queue, n)  # no vector letters
-        used["bundles"] += 1
+        first = all(pick is None for pick in walk["picks"])
+        used["bundles" if first else "subs"] += 1
         result = decide(comp, row, queue, n)
-        used["splits"] += result.__class__ is tuple
+        if result.__class__ is tuple:
+            used["splits"] += 1
+            axis = walk["parts"][result[1][0]][0]
+            used["forks"] += walk["arities"][axis]
         return result
 
     monkeypatch.setattr(oracle, "_decide", counted_decide)
@@ -314,8 +322,58 @@ def test_enumerate_splits_where_one_sibling_erases_and_one_writes(
     used = _bundle_use(monkeypatch)
     assert enumerate_accepted(m, 10) == run_language(m, 10) == {()} | {
         (x, *"b" * k) for x in "ab" for k in range(10)}
-    # every bundle tape starts with the root's vector letter, which g splits
-    assert used["bundles"] == used["splits"] > 0
+    # every bundle tape starts with the root's vector letter, which g
+    # splits; its two runs go on with the other axes bundled
+    assert (used["bundles"], used["subs"], used["splits"]) == (14, 308, 154)
+    assert used["subs"] == used["forks"]
+
+
+def second_axis_parts():
+    """ET over a < b.  The first sweep writes A or B for the first letter
+    and C or D for the second, each pair from one row, so the nodes below
+    have two axes; later letters are erased.  The next sweep writes E or F
+    over A or B in t, so axis 0's cells agree, and u erases C and writes D
+    back, so axis 1's cell parts ways.  w erases E and F, and x is stuck
+    on D.  So the words are the empty word and those whose second letter
+    is a."""
+    return make_machine(
+        sigma="ab", tape="EFABCDab", start="s", accepting=(), mode=Mode.ET,
+        transitions={("s", "a"): ("g", "A"), ("s", "b"): ("g", "B"),
+                     ("g", "a"): ("t", "C"), ("g", "b"): ("t", "D"),
+                     ("t", "a"): ("t", None), ("t", "b"): ("t", None),
+                     ("t", "A"): ("u", "E"), ("t", "B"): ("u", "F"),
+                     ("u", "C"): ("w", None), ("u", "D"): ("w", "D"),
+                     ("w", "E"): ("x", None), ("w", "F"): ("x", None)})
+
+
+def test_enumerate_splits_only_the_axis_that_parts(monkeypatch):
+    """A split on axis 1 forks into two runs, one per second letter, and
+    each finishes with both of axis 0's worlds in it.  A fork on any other
+    axis would meet the same split again, so the alarm stops it."""
+    def late(*_):
+        raise TimeoutError("the forked runs took over two seconds")
+
+    m = second_axis_parts()
+    comp = oracle._verdict_form(simulate._compile(m))
+    form, _, parts = oracle._bundles(comp)
+    row = {q: form.states.index(q) * form.stride for q in "tu"}
+    first, second = parts.index((0, (2, 3))), parts.index((1, (4, 5)))
+    assert form.next_row[row["t"] + first] == row["u"]
+    assert form.next_row[row["u"] + second] == simulate._SPLIT
+    used = _bundle_use(monkeypatch)
+    handler = signal.signal(signal.SIGALRM, late)
+    signal.alarm(2)
+    try:
+        got = enumerate_accepted(m, 8)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert got == run_language(m, 8) == {()} | {
+        w for w in words("ab", 8) if w[1:2] == ("a",)}
+    # one first run per length; those of lengths 2 to 8 split once each,
+    # into two runs that end with no further split
+    assert (used["bundles"], used["subs"], used["splits"]) == (8, 14, 7)
+    assert used["subs"] == used["forks"]
 
 
 def descending_maps(n: int = 20):
@@ -367,8 +425,9 @@ def test_enumerate_bounds_the_block_of_vector_letters(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
     # every bundle tape starts with the root's vector letter, whose cell
-    # in s parts ways
-    assert used["bundles"] == used["splits"] > 0
+    # in s parts ways, into eight runs for each n
+    assert (used["bundles"], used["subs"], used["splits"]) == (8, 1392, 174)
+    assert used["subs"] == used["forks"]
 
 
 def test_enumerate_cone_below_a_bundle_node(monkeypatch):
