@@ -40,14 +40,14 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     recorded mid-run position.
 
     The walk goes one length at a time over the nodes of equivalent_up_to
-    (_product_side): a node is the row a first sweep reached and the tape
-    it appended, and every word below goes on from there.  A layer maps
+    (_Side): a node is the row a first sweep reached and the tape it
+    appended, and every word below goes on from there.  A layer maps
     each node to its links, (the parent's entry, the letter), so a node
     that several prefixes reach is one node, run once, with a link per
     parent.  A first sweep that gets stuck drops its node; one that
     accepts puts its words in the cone, every extension of which is
-    accepted.  A plain node's verdict is _product_side's: the verdict
-    table's, else a completion run (_CompletionRuns).
+    accepted.  A plain node's verdict is _Side.verdict's: the verdict
+    table's, else a completion run.
 
     A node's children are its row's slots (_bundles): a letter, or a group
     of letters whose first steps from the row reach one row and write
@@ -108,7 +108,7 @@ def _accepted_layers(m: Machine, max_len: int):
         raise ValueError("max_len must be at least 0")
     comp = _verdict_form(_compile(m))
     sigma = sorted(m.input_alphabet, key=comp.code.__getitem__)
-    root, _, verdict, _ = _product_side(comp, sigma)
+    side = _Side(comp, sigma)
     form, tables, parts = _bundles(comp)
     key_of = form.key_of
     yield [()] if m.mode is Mode.ET or m.accepts_empty else []
@@ -116,7 +116,7 @@ def _accepted_layers(m: Machine, max_len: int):
     # to its entry: its words per world once accepted, then its links,
     # each the parent's entry and the letter or group members; cone
     # holds the layer's words below an accepting first step
-    layer, cone = {(*root, ()): [[[()]]]}, []
+    layer, cone = {(*side.root, ()): [[[()]]]}, []
     for depth in range(1, max_len + 1):
         below, halts = {}, []
         for (row, tape, arities), entry in layer.items():
@@ -141,7 +141,7 @@ def _accepted_layers(m: Machine, max_len: int):
                 worlds = _bundle_worlds(comp, form, parts, row, tape,
                                         arities, depth)
             else:
-                worlds = [0] if verdict((row, tape), depth) else []
+                worlds = [0] if side.verdict((row, tape), depth) else []
             words = [None] * prod(arities) if worlds else None
             for world in worlds:
                 words[world] = spelled = _spelled(entry, world)
@@ -218,58 +218,6 @@ def _spelled(entry: list, world: int) -> list:
     return out
 
 
-class _CompletionRuns:
-    """The completion runs of one enumeration or comparison on comp, a
-    verdict form (_verdict_form).  A run goes on from a first sweep that
-    took steps steps, reached row and appended a list of codes.  A list of
-    fewer than queue_below codes is run by the caller as a chunked queue
-    run, simulate._decide(comp, row, codes, steps), which appends to the
-    list; run() makes every other run by simulate._core.
-
-    The runs share a chunk memo and one verdict table, memo, from the
-    (state, tape) of every sweep boundary they meet to its verdict.  The
-    machine is deterministic and loop detection is exact, so a boundary's
-    verdict is that of the run through it, even one met inside a streak
-    of unchanged tapes.
-    After the first _MEMO_PROBE_RUNS runs the table is dropped unless
-    more than _MEMO_HIT_SHARE of them ended on a known boundary.  It files
-    no keys once it holds _MEMO_MAX_KEYS.
-
-    queue_below is 0 while the table is kept and comp.gate once it is
-    dropped.  _core and _decide both cut the loops of a freezing machine,
-    so every run ends in a verdict."""
-
-    __slots__ = ("comp", "queue_below", "memo", "passed", "chunk_memo",
-                 "runs", "hits")
-
-    def __init__(self, comp: _Compiled):
-        self.comp = comp
-        self.queue_below = 0
-        self.memo: Optional[dict] = {}
-        self.passed: Optional[list] = []
-        self.chunk_memo: dict = {}  # for _core's block loop
-        self.runs = self.hits = 0
-
-    def run(self, row: int, tape, steps: int):
-        """The verdict of a run by _core from row on tape, the appended
-        codes as a key (comp.key_of)."""
-        memo, passed = self.memo, self.passed
-        result, last, _, _, _ = _core(self.comp, row, tape, steps, None, None,
-                                      self.chunk_memo, memo, passed)
-        if memo is not None:
-            self.hits += last is None
-            if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
-                for key in passed:
-                    memo[key] = result
-            passed.clear()
-            self.runs += 1
-            if (self.runs == _MEMO_PROBE_RUNS
-                    and self.hits <= _MEMO_HIT_SHARE * self.runs):
-                self.memo = self.passed = None
-                self.queue_below = self.comp.gate
-        return result
-
-
 def _verdict_form(comp: _Compiled) -> _Compiled:
     """comp with its inert letters kept off the tape (see
     enumerate_accepted), built on first use and kept on comp."""
@@ -304,8 +252,7 @@ def _verdict_form(comp: _Compiled) -> _Compiled:
     if not cells:
         form = comp
     elif comp.as_mode:
-        form = replace(comp, output=tuple(outs), blocks=None,
-                       first_steps=None)
+        form = replace(comp, output=tuple(outs))
     else:
         # a flagged copy of each row, from size on, which every inert write
         # moves to; where the tape runs out m's holds inert letters alone,
@@ -315,8 +262,7 @@ def _verdict_form(comp: _Compiled) -> _Compiled:
             rows[at] += size
         form = replace(comp, next_row=tuple(rows), output=tuple(outs) * 2,
                        states=comp.states * 2,
-                       state_count=2 * comp.state_count, blocks=None,
-                       first_steps=None, empty_verdicts={
+                       state_count=2 * comp.state_count, empty_verdicts={
                            size + row: _STUCK if row in stuck else _LOOP
                            for row in live - drains})
     object.__setattr__(comp, "verdict", form)
@@ -357,8 +303,8 @@ def equivalent_up_to(a: Machine, b: Machine,
     verdicts differ is the answer, and the walk returns there.  A pair of
     two True or False nodes that agree has no disagreement below and
     leaves the walk, and so do the pairs of the last layer.  A node's
-    verdict is a completion run (_CompletionRuns), or the verdict table's
-    while that holds the node.  The empty word's is the ET or
+    verdict is a completion run, or the verdict table's while that holds
+    the node (_Side.verdict).  The empty word's is the ET or
     accepts_empty rule instead, so the root pair is not marked as walked:
     it can come back deeper, where an AS run rejects.
 
@@ -376,9 +322,7 @@ def equivalent_up_to(a: Machine, b: Machine,
         raise ValueError("max_len must be at least 0")
     comps = _compile(a), _compile(b)  # refuses either before any run
     sigma = sorted(a.input_alphabet, key=comps[0].code.__getitem__)
-    ((root_a, kids_a, verdict_a, runs_a),
-     (root_b, kids_b, verdict_b, runs_b)) = (
-        _product_side(_verdict_form(c), sigma) for c in comps)
+    side_a, side_b = (_Side(_verdict_form(c), sigma) for c in comps)
     empty = [m.mode is Mode.ET or m.accepts_empty for m in (a, b)]
     if empty[0] != empty[1]:
         return Counterexample((), *empty)
@@ -386,23 +330,25 @@ def equivalent_up_to(a: Machine, b: Machine,
     # (parent's link, letter), so the words share their prefixes; seen
     # holds the pairs of the layers before, after the root's, but none once
     # both tables are dropped until a pair comes back
-    layer, seen, met = {(root_a, root_b): None}, set(), False
+    layer, seen, met = {(side_a.root, side_b.root): None}, set(), False
     for depth in range(1, max_len + 1):
         below = {}
         for (node_a, node_b), link in layer.items():
-            for x, to_a, to_b in zip(sigma, kids_a(node_a), kids_b(node_b)):
+            for x, to_a, to_b in zip(sigma, side_a.kids(node_a),
+                                     side_b.kids(node_b)):
                 pair = to_a, to_b
                 if pair in below or pair in seen:
                     met = True
                     continue
-                in_a, in_b = verdict_a(to_a, depth), verdict_b(to_b, depth)
+                in_a = side_a.verdict(to_a, depth)
+                in_b = side_b.verdict(to_b, depth)
                 if in_a is not in_b:
                     return Counterexample(_spell((link, x)), in_a, in_b)
                 if depth == max_len or (to_a.__class__ is bool
                                         and to_b.__class__ is bool):
                     continue
                 below[pair] = link, x
-        if met or runs_a.memo is not None or runs_b.memo is not None:
+        if met or side_a.memo is not None or side_b.memo is not None:
             seen.update(below)
         else:
             seen = set()
@@ -533,7 +479,7 @@ def _bundles(comp: _Compiled) -> tuple:
                    next_row=tuple(rows_out), output=tuple(outs_out),
                    empty_verdicts={moved(row): v
                                    for row, v in comp.empty_verdicts.items()},
-                   key_of=key_of, blocks=None, verdict=None, first_steps=None)
+                   key_of=key_of)
     keyed = {row: [(x, s if s.__class__ is bool else (s[0], key_of(s[1])))
                    for x, s in slots] for row, slots in plain.items()}
     tables = []
@@ -556,30 +502,44 @@ def _bundles(comp: _Compiled) -> tuple:
     return comp.bundles
 
 
-def _product_side(comp: _Compiled, sigma: list) -> tuple:
-    """(root, kids, verdict, runner) of one machine in the prefix walks of
-    equivalent_up_to and enumerate_accepted, on comp, its verdict form;
-    runner makes its completion runs.  kids serves equivalent_up_to.  A
-    node is the row its first sweep reached and the tape that sweep
-    appended, as a key, or False or True when the first sweep halted
-    (_first_steps); those are their own children.
-    kids(node) lists a node's children in the order of sigma.
-    verdict(node, depth) is the verdict of a node of depth at least 1,
-    the same at every depth: depth only bounds the node's tape.  A node is
-    the sweep boundary its completion run starts from, so while the
-    verdict table is kept a node it holds is not run again; the lookup
-    counts as neither a run nor a hit of the table's probe.  A node with
-    an empty tape has no boundary to file; in a flagged row of an ET
-    verdict form its run ends on comp.empty_verdicts."""
-    steps, codes = _first_steps(comp), [comp.code[x] for x in sigma]
-    runner = _CompletionRuns(comp)
+class _Side:
+    """One machine's side of the prefix walks of enumerate_accepted and
+    equivalent_up_to, on comp, its verdict form (_verdict_form), over the
+    input letters sigma in order.  A node is the row its first sweep
+    reached and the tape that sweep appended, as a key (comp.key_of), or
+    False or True when the first sweep halted (_first_steps); those are
+    their own children.  root is the node of the empty word.
 
-    def kids(node) -> list:
+    The completion runs of its nodes share a chunk memo and one verdict
+    table, memo, from the (state, tape) of every sweep boundary they meet
+    to its verdict.  The machine is deterministic and loop detection is
+    exact, so a boundary's verdict is that of the run through it, even one
+    met inside a streak of unchanged tapes.
+    After the first _MEMO_PROBE_RUNS runs the table is dropped unless
+    more than _MEMO_HIT_SHARE of them ended on a known boundary.  It files
+    no keys once it holds _MEMO_MAX_KEYS.  _core and _decide both cut the
+    loops of a freezing machine, so every run ends in a verdict."""
+
+    __slots__ = ("comp", "root", "steps", "codes", "memo", "passed",
+                 "chunk_memo", "runs", "hits")
+
+    def __init__(self, comp: _Compiled, sigma: list):
+        self.comp = comp
+        self.root = comp.start, comp.key_of(())
+        self.steps = _first_steps(comp)
+        self.codes = [comp.code[x] for x in sigma]
+        self.memo: Optional[dict] = {}
+        self.passed: Optional[list] = []
+        self.chunk_memo: dict = {}  # for _core's block loop
+        self.runs = self.hits = 0
+
+    def kids(self, node) -> list:
+        """node's children, in the order of sigma."""
         if node.__class__ is bool:
-            return [node] * len(codes)
+            return [node] * len(self.codes)
         row, tape = node
-        out = []
-        for c in codes:
+        steps, out = self.steps, []
+        for c in self.codes:
             step = steps[row + c]
             if step.__class__ is bool:
                 out.append(step)
@@ -588,20 +548,41 @@ def _product_side(comp: _Compiled, sigma: list) -> tuple:
                 out.append((target, tape + written))
         return out
 
-    def verdict(node, depth: int) -> bool:
+    def verdict(self, node, depth: int) -> bool:
+        """The verdict of a node of depth at least 1, the same at every
+        depth: depth only bounds the node's tape.  A node is the sweep
+        boundary its completion run starts from, so while the verdict table
+        is kept a node it holds is not run again; the lookup counts as
+        neither a run nor a hit of the table's probe.  Each other run is
+        simulate._core's with the table; once the table is dropped, a tape
+        of fewer than comp.gate codes is a chunked queue run,
+        simulate._decide, and a longer one _core's without it.  A node with
+        an empty tape has no boundary to file; in a flagged row of an ET
+        verdict form its run ends on comp.empty_verdicts."""
         if node.__class__ is bool:
             return node
-        memo = runner.memo
-        result = None if memo is None else memo.get(node)
+        comp, memo = self.comp, self.memo
+        row, tape = node
+        if memo is None:
+            if len(tape) < comp.gate:
+                return _decide(comp, row, [*tape], depth) is _ACCEPTED
+            return _core(comp, row, tape, depth, None, None, self.chunk_memo,
+                         None, None)[0] is _ACCEPTED
+        result = memo.get(node)
         if result is None:
-            row, tape = node
-            if len(tape) < runner.queue_below:
-                result = _decide(comp, row, [*tape], depth)
-            else:
-                result = runner.run(row, tape, depth)
+            passed = self.passed
+            result, last, _, _, _ = _core(comp, row, tape, depth, None, None,
+                                          self.chunk_memo, memo, passed)
+            self.hits += last is None
+            if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
+                for key in passed:
+                    memo[key] = result
+            passed.clear()
+            self.runs += 1
+            if (self.runs == _MEMO_PROBE_RUNS
+                    and self.hits <= _MEMO_HIT_SHARE * self.runs):
+                self.memo = self.passed = None
         return result is _ACCEPTED
-
-    return (comp.start, comp.key_of(())), kids, verdict, runner
 
 
 def _spell(link) -> Word:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Optional
 
@@ -195,7 +195,8 @@ class _Compiled:
     (see oracle._verdict_form) fills it.
     ``blocks``, ``verdict`` (see oracle._verdict_form), ``first_steps``
     (see oracle._first_steps) and ``bundles`` (see oracle._bundles) are
-    built on first use and kept."""
+    built on first use and kept; dataclasses.replace starts a derived form
+    without them."""
 
     letters: tuple
     code: dict
@@ -212,10 +213,10 @@ class _Compiled:
     key_of: type
     input_bytes: Optional[tuple]
     empty_verdicts: dict
-    blocks: Optional[tuple] = None
-    verdict: Optional[_Compiled] = None
-    first_steps: Optional[tuple] = None
-    bundles: Optional[tuple] = None
+    blocks: Optional[tuple] = field(default=None, init=False)
+    verdict: Optional[_Compiled] = field(default=None, init=False)
+    first_steps: Optional[tuple] = field(default=None, init=False)
+    bundles: Optional[tuple] = field(default=None, init=False)
 
 
 # The gate of a machine with at most 256 letters; on shorter tapes blocks

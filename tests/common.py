@@ -1,8 +1,10 @@
 """Machines, DFAs and helpers shared across the test modules."""
 
+import contextlib
 import itertools
 import random
 import re
+import signal
 
 from fr1tass.model import Machine, Mode, OrderedAlphabet, make_machine
 from fr1tass.oracle import Counterexample, enumerate_accepted
@@ -61,6 +63,22 @@ def two_hash_dfa() -> DfaSpec:
     return DfaSpec(
         alphabet=("#", "a", "b"), states=frozenset({"h0", "h1", "h2"}),
         start="h0", accepting=frozenset({"h2"}), transitions=t)
+
+
+@contextlib.contextmanager
+def time_bound(seconds: int, what: str):
+    """Raises TimeoutError in the body once it has run for seconds, by
+    SIGALRM, and then puts the handler that was there before back."""
+    def late(*_):
+        raise TimeoutError(f"{what} took over {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, late)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 def words(sigma, max_len: int):

@@ -1,7 +1,6 @@
 """Enumeration, comparison, predicates, and the unary classifier."""
 
 import random
-import signal
 import sys
 from dataclasses import replace
 
@@ -13,7 +12,7 @@ from common import (all_a, census_machines, equivalent_by_sets, even_length,
                     flip_flop, has_strongly_equivalent_states, is_palindrome,
                     odd_length, pure_loop, random_machine, regular,
                     rotating_countdown, run_language, stepped_verdict,
-                    two_hash_dfa, undeclared_chain, words)
+                    time_bound, two_hash_dfa, undeclared_chain, words)
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
@@ -29,7 +28,7 @@ from fr1tass.pcp import (PcpInstance, encode_pcp_candidate,
 from fr1tass.simulate import Verdict, accepts
 from fr1tass.transform import (DfaSpec, as_to_et, complement, et_to_as,
                                from_dfa, intersect_sequential, remove_erasing,
-                               union)
+                               union, union_sequential)
 
 INSTANCE = PcpInstance(u_words=("a", "ab"), v_words=("aa", "b"),
                        base_alphabet=("a", "b"))
@@ -133,16 +132,16 @@ def _table_use(monkeypatch) -> dict:
 
 
 def _runners(monkeypatch) -> list:
-    """Lists the _CompletionRuns of each enumeration or comparison, so a
-    test can read whether its verdict table was kept past the probe."""
+    """Lists the _Side of each machine of each enumeration or comparison,
+    so a test can read whether its verdict table was kept past the probe."""
     runners = []
 
-    class Recorded(oracle._CompletionRuns):
-        def __init__(self, comp):
-            super().__init__(comp)
+    class Recorded(oracle._Side):
+        def __init__(self, comp, sigma):
+            super().__init__(comp, sigma)
             runners.append(self)
 
-    monkeypatch.setattr(oracle, "_CompletionRuns", Recorded)
+    monkeypatch.setattr(oracle, "_Side", Recorded)
     return runners
 
 
@@ -168,6 +167,8 @@ def test_enumerate_verdict_table_past_the_probe(monkeypatch, build, n, kept):
     assert enumerate_accepted(m, n) == run_language(m, n)
     assert used[True] >= _MEMO_PROBE_RUNS
     assert (runners[-1].memo is not None) is kept
+    if not kept:  # no run is made with the table once it is dropped
+        assert used[True] == _MEMO_PROBE_RUNS
 
 
 @pytest.mark.parametrize("probe", [_MEMO_PROBE_RUNS, 8])
@@ -225,8 +226,9 @@ def test_enumerate_bundles_from_the_root(monkeypatch):
 
 
 def test_enumerate_census():
-    for m in census_machines():
-        assert enumerate_accepted(m, 5) == run_language(m, 5), m
+    with time_bound(30, "the census"):
+        for m in census_machines():
+            assert enumerate_accepted(m, 5) == run_language(m, 5), m
 
 
 def test_enumerate_census_with_blocks_everywhere(monkeypatch):
@@ -282,14 +284,15 @@ def test_enumerate_random_constructions_in_bundles(monkeypatch):
     the complement and ET bridge of that."""
     monkeypatch.setattr(oracle, "_MEMO_PROBE_RUNS", 8)
     used = _bundle_use(monkeypatch)
-    for seed in range(240):
-        m = random_machine(seed)
-        a = et_to_as(m) if m.mode is Mode.ET else m
-        r = remove_erasing(a)
-        n = 6 if len(m.input_alphabet) < 3 else 4
-        for x in (m, as_to_et(m) if a is m else a, r, complement(r),
-                  as_to_et(r)):
-            assert enumerate_accepted(x, n) == run_language(x, n), seed
+    with time_bound(30, "the random constructions"):
+        for seed in range(240):
+            m = random_machine(seed)
+            a = et_to_as(m) if m.mode is Mode.ET else m
+            r = remove_erasing(a)
+            n = 6 if len(m.input_alphabet) < 3 else 4
+            for x in (m, as_to_et(m) if a is m else a, r, complement(r),
+                      as_to_et(r)):
+                assert enumerate_accepted(x, n) == run_language(x, n), seed
     assert used["bundles"] > used["splits"] > 0
 
 
@@ -350,9 +353,6 @@ def test_enumerate_splits_only_the_axis_that_parts(monkeypatch):
     """A split on axis 1 forks into two runs, one per second letter, and
     each finishes with both of axis 0's worlds in it.  A fork on any other
     axis would meet the same split again, so the alarm stops it."""
-    def late(*_):
-        raise TimeoutError("the forked runs took over two seconds")
-
     m = second_axis_parts()
     comp = oracle._verdict_form(simulate._compile(m))
     form, _, parts = oracle._bundles(comp)
@@ -361,13 +361,8 @@ def test_enumerate_splits_only_the_axis_that_parts(monkeypatch):
     assert form.next_row[row["t"] + first] == row["u"]
     assert form.next_row[row["u"] + second] == simulate._SPLIT
     used = _bundle_use(monkeypatch)
-    handler = signal.signal(signal.SIGALRM, late)
-    signal.alarm(2)
-    try:
+    with time_bound(2, "the forked runs"):
         got = enumerate_accepted(m, 8)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, handler)
     assert got == run_language(m, 8) == {()} | {
         w for w in words("ab", 8) if w[1:2] == ("a",)}
     # one first run per length; those of lengths 2 to 8 split once each,
@@ -403,13 +398,8 @@ def test_enumerate_bounds_the_block_of_vector_letters(monkeypatch):
     form's stride, and a cell writing a vector outside it splits; the
     whole test runs within ten seconds.  With 40 working letters the
     verdict form's codes fit in a byte and the bundle form's do not."""
-    def late(*_):
-        raise TimeoutError("the bundle form took over ten seconds")
-
     used = _bundle_use(monkeypatch)
-    handler = signal.signal(signal.SIGALRM, late)
-    signal.alarm(10)
-    try:
+    with time_bound(10, "the bundle form"):
         for n in (20, 40):
             m = descending_maps(n)
             comp = oracle._verdict_form(simulate._compile(m))
@@ -421,9 +411,6 @@ def test_enumerate_bounds_the_block_of_vector_letters(monkeypatch):
             assert enumerate_accepted(m, 4) == run_language(m, 4) == {
                 w for w in words(sorted(m.input_alphabet), 4)
                 if w[:1] == ("x8",)}
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, handler)
     # every bundle tape starts with the root's vector letter, whose cell
     # in s parts ways, into eight runs for each n
     assert (used["bundles"], used["subs"], used["splits"]) == (8, 1392, 174)
@@ -797,6 +784,21 @@ def test_equivalent_up_to_runs_the_et_bridge_without_its_placeholder(
     used = _table_use(monkeypatch)
     assert equivalent_up_to(b, bae, 12) is None
     assert used[True] + used[False] == 2212
+
+
+def test_equivalent_up_to_keeps_one_side_table_past_the_probe(monkeypatch):
+    """union and union_sequential of center and the AS balance bridge
+    accept the same words.  union's runs meet no boundary twice, so its
+    side drops the verdict table after the probe, with no hit; those of
+    union_sequential go back to known boundaries, and its side keeps the
+    table.  Each side routes its own runs."""
+    center, ba = center_language(), et_to_as(balance_ab_et())
+    u, us = union(center, ba), union_sequential(center, ba)
+    runners = _runners(monkeypatch)
+    assert equivalent_up_to(u, us, 10) is None
+    assert [(r.memo is None, r.runs, r.hits) for r in runners] == [
+        (True, _MEMO_PROBE_RUNS, 0), (False, 2046, 1265)]
+    assert equivalent_by_sets(u, us, 10) is None
 
 
 def test_equivalent_up_to_walks_a_returning_root_pair():
