@@ -69,12 +69,13 @@ def cmd_run(args) -> int:
 def cmd_enumerate(args) -> int:
     m = _load(args.machine)
     # by length, then letter by letter in tape order; a length's words are
-    # distinct, and a string of letter codes sorts them as the codes do
+    # distinct, and a string of letter codes sorts them as the codes do.
+    # Each length is written as soon as the walk has it.
     code = {x: chr(c) for x, c in _compile(m).code.items()}.__getitem__
-    layers = list(oracle._accepted_layers(m, args.max_len))
-    for words in layers:
+    for words in oracle._accepted_layers(m, args.max_len):
         words.sort(key=lambda w: "".join(map(code, w)))
         sys.stdout.write("".join(" ".join(w) + "\n" for w in words))
+        sys.stdout.flush()
     return 0
 
 

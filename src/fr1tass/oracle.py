@@ -138,10 +138,9 @@ def _accepted_layers(m: Machine, max_len: int):
         found = cone.copy()
         for (row, tape, arities), entry in below.items():
             if arities:
-                worlds = _bundle_worlds(comp, form, parts, row, tape,
-                                        arities, depth)
+                worlds = _bundle_worlds(comp, form, parts, row, tape, arities)
             else:
-                worlds = [0] if side.verdict((row, tape), depth) else []
+                worlds = [0] if side.verdict((row, tape)) else []
             words = [None] * prod(arities) if worlds else None
             for world in worlds:
                 words[world] = spelled = _spelled(entry, world)
@@ -153,7 +152,7 @@ def _accepted_layers(m: Machine, max_len: int):
 
 
 def _bundle_worlds(comp: _Compiled, form: _Compiled, parts: list, row: int,
-                   tape, arities: tuple, depth: int) -> list:
+                   tape, arities: tuple) -> list:
     """The accepting worlds of a bundle node of enumerate_accepted's walk,
     by runs on the bundle form.  A world picks one member of each axis,
     where arities[k] is the number of members of axis k.  It is numbered
@@ -169,13 +168,14 @@ def _bundle_worlds(comp: _Compiled, form: _Compiled, parts: list, row: int,
     vector writes one on axis k, so that is the configuration of the
     worlds that pick j on axis k, and the other axes stay bundled.  An
     axis that parts never comes back, so a world's path is a chain of at
-    most len(arities) splits."""
+    most len(arities) splits; a run that parts on an axis its picks fix
+    raises RuntimeError."""
     stride = comp.stride
     accepting = []
     todo = [(row // stride * form.stride, [*tape], (None,) * len(arities))]
     while todo:
         at, queue, picks = todo.pop()
-        result = _decide(form, at, queue, depth)
+        result = _decide(form, at, queue)
         if result is _ACCEPTED:
             worlds = [0]
             for arity, pick in zip(arities, picks):
@@ -185,6 +185,8 @@ def _bundle_worlds(comp: _Compiled, form: _Compiled, parts: list, row: int,
         elif result.__class__ is tuple:
             at, rest = result
             k = parts[rest[0]][0]
+            if picks[k] is not None:
+                raise RuntimeError(f"a bundle run parted twice on axis {k}")
             for j in range(arities[k]):
                 queue = [c if c < stride or parts[c][0] != k
                          else parts[c][1][j] for c in rest]
@@ -261,8 +263,7 @@ def _verdict_form(comp: _Compiled) -> _Compiled:
         for at in cells:
             rows[at] += size
         form = replace(comp, next_row=tuple(rows), output=tuple(outs) * 2,
-                       states=comp.states * 2,
-                       state_count=2 * comp.state_count, empty_verdicts={
+                       states=comp.states * 2, empty_verdicts={
                            size + row: _STUCK if row in stuck else _LOOP
                            for row in live - drains})
     object.__setattr__(comp, "verdict", form)
@@ -326,31 +327,29 @@ def equivalent_up_to(a: Machine, b: Machine,
     empty = [m.mode is Mode.ET or m.accepts_empty for m in (a, b)]
     if empty[0] != empty[1]:
         return Counterexample((), *empty)
-    # each layer maps its pairs (node_a, node_b) to their links: a link is
-    # (parent's link, letter), so the words share their prefixes; seen
-    # holds the pairs of the layers before, after the root's, but none once
-    # both tables are dropped until a pair comes back
-    layer, seen, met = {(side_a.root, side_b.root): None}, set(), False
+    # each layer lists its pairs (node_a, node_b) with their links: a link
+    # is (parent's link, letter), so the words share their prefixes; seen
+    # gains each pair filed after the root's, and keeps only the current
+    # layer's once both tables are dropped until a pair comes back
+    layer, seen, met = [((side_a.root, side_b.root), None)], set(), False
     for depth in range(1, max_len + 1):
-        below = {}
-        for (node_a, node_b), link in layer.items():
+        below = []
+        for (node_a, node_b), link in layer:
             for x, to_a, to_b in zip(sigma, side_a.kids(node_a),
                                      side_b.kids(node_b)):
                 pair = to_a, to_b
-                if pair in below or pair in seen:
+                if pair in seen:
                     met = True
                     continue
-                in_a = side_a.verdict(to_a, depth)
-                in_b = side_b.verdict(to_b, depth)
+                in_a, in_b = side_a.verdict(to_a), side_b.verdict(to_b)
                 if in_a is not in_b:
                     return Counterexample(_spell((link, x)), in_a, in_b)
                 if depth == max_len or (to_a.__class__ is bool
                                         and to_b.__class__ is bool):
                     continue
-                below[pair] = link, x
-        if met or side_a.memo is not None or side_b.memo is not None:
-            seen.update(below)
-        else:
+                seen.add(pair)
+                below.append((pair, (link, x)))
+        if not (met or side_a.memo is not None or side_b.memo is not None):
             seen = set()
         layer = below
     return None
@@ -548,31 +547,29 @@ class _Side:
                 out.append((target, tape + written))
         return out
 
-    def verdict(self, node, depth: int) -> bool:
+    def verdict(self, node) -> bool:
         """The verdict of a node of depth at least 1, the same at every
-        depth: depth only bounds the node's tape.  A node is the sweep
-        boundary its completion run starts from, so while the verdict table
-        is kept a node it holds is not run again; the lookup counts as
-        neither a run nor a hit of the table's probe.  Each other run is
-        simulate._core's with the table; once the table is dropped, a tape
+        depth: a node is the sweep boundary its completion run starts from,
+        and the run needs nothing else.  So while the verdict table is kept
+        a node it holds is not run again; the lookup counts as neither a run
+        nor a hit of the table's probe.  Once the table is dropped, a tape
         of fewer than comp.gate codes is a chunked queue run,
-        simulate._decide, and a longer one _core's without it.  A node with
-        an empty tape has no boundary to file; in a flagged row of an ET
-        verdict form its run ends on comp.empty_verdicts."""
+        simulate._decide; every other run is simulate._core's, with the
+        table while it is kept.  A node with an empty tape has no boundary
+        to file; in a flagged row of an ET verdict form its run ends on
+        comp.empty_verdicts."""
         if node.__class__ is bool:
             return node
-        comp, memo = self.comp, self.memo
+        comp, memo, passed = self.comp, self.memo, self.passed
         row, tape = node
         if memo is None:
             if len(tape) < comp.gate:
-                return _decide(comp, row, [*tape], depth) is _ACCEPTED
-            return _core(comp, row, tape, depth, None, None, self.chunk_memo,
-                         None, None)[0] is _ACCEPTED
-        result = memo.get(node)
-        if result is None:
-            passed = self.passed
-            result, last, _, _, _ = _core(comp, row, tape, depth, None, None,
-                                          self.chunk_memo, memo, passed)
+                return _decide(comp, row, [*tape]) is _ACCEPTED
+        elif node in memo:
+            return memo[node] is _ACCEPTED
+        result, last, _, _, _ = _core(comp, row, tape, None, None,
+                                      self.chunk_memo, memo, passed)
+        if memo is not None:
             self.hits += last is None
             if len(memo) + len(passed) <= _MEMO_MAX_KEYS:
                 for key in passed:

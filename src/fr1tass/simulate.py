@@ -4,11 +4,11 @@ A run proceeds in sweeps.  Sweep i consumes exactly the r_i letters present
 on the tape when the sweep starts; outputs appended during the sweep belong
 to sweep i+1.  Because every step consumes one letter and writes at most
 one, the tape never grows, so each sweep start can be compared against the
-previous one.  A run is cut as a loop at the (state_count + 1)-th
-unchanged sweep-start tape in a row: by then a state has repeated on
-identical tapes, which proves the run is circling.  The engine stops at
-the first such repeat, whose period it knows, and works out the cut's
-state, steps, sweeps and records from there instead of stepping to it.
+previous one.  A run is cut as a loop at the (S + 1)-th unchanged
+sweep-start tape in a row, S its machine's number of states: by then a
+state has repeated on identical tapes, so the run is circling.  The
+engine stops at the first such repeat, whose period it knows, and works
+out the cut's state, steps, sweeps and records instead of stepping to it.
 Runs, enumeration and sweep_bound refuse a machine that is not freezing
 (_compile), and on a freezing one the cut ends every run, so the loops
 keep no step budget; step steps any machine.
@@ -34,8 +34,8 @@ None of them halts and their tapes all differ, so the verdict, steps,
 sweeps, loop cut and step-limit error stay those of stepping them.
 
 _core steps sweep by sweep from any sweep boundary: every run, and each
-enumeration completion run with a verdict table or a long tape.  _decide
-makes the others, reading the tape as one queue in chunks.
+completion run with a verdict table or a long tape.  _decide makes the
+others, bundle runs too, reading the tape as one queue in chunks.
 """
 
 from __future__ import annotations
@@ -174,14 +174,14 @@ def sweep_bound(m: Machine, n: int) -> int:
     """Sweeps a length-n run can start before looping is certain, counting
     every state of m and every letter its transitions name."""
     comp = _compile(m)
-    return (n + n * (len(comp.letters) - 1) + 1) * (comp.state_count + 1)
+    return (n + n * (len(comp.letters) - 1) + 1) * (len(comp.states) + 1)
 
 
 @dataclass(frozen=True)
 class _Compiled:
     """A machine's table with letters coded in tape order (then any letter
-    an unvalidated machine uses off the tape) and each state by its row,
-    index * stride.  ``input_code`` codes the input letters only.
+    an unvalidated machine uses off the tape) and each state of ``states``
+    by its row, index * stride.  ``input_code`` codes only input letters.
     ``next_row[row + letter]`` is the next row, -1 for no transition and
     ``-2 - row`` for an accepting row in AS mode; ``output[row + letter]``
     is the letter written, -1 for an erasure.  ``key_of`` makes the tape,
@@ -207,8 +207,6 @@ class _Compiled:
     next_row: tuple
     output: tuple
     as_mode: bool
-    accepts_empty: bool
-    state_count: int
     gate: int
     key_of: type
     input_bytes: Optional[tuple]
@@ -245,11 +243,11 @@ def _compile(m: Machine) -> _Compiled:
     the run loops need no step budget.  A letter is only rewritten to a
     lower one and erased at most once, so a run on n letters makes at most
     n * len(letters) steps that rewrite or erase, and a sweep with none
-    leaves its start tape as it was.  _core cuts a loop at the
-    (state_count + 1)-th unchanged start tape in a row, so a run starts at
+    leaves its start tape as it was.  _core cuts a loop at the (S + 1)-th
+    unchanged start tape in a row, S = len(states), so a run starts at
     most sweep_bound(m, n) sweeps of at most n steps.  _decide cuts a loop
-    in the first chunk of state_count * n steps that all write back, so it
-    steps at most n * len(letters) + 1 chunks."""
+    in the first chunk of S * n steps that all write back, n its queue's
+    length at entry, so it steps at most n * len(letters) + 1 chunks."""
     if m._compiled is not None:
         return m._compiled
     items = m.transitions.items()
@@ -281,8 +279,7 @@ def _compile(m: Machine) -> _Compiled:
         letters=letters, code=code,
         input_code={x: code[x] for x in m.input_alphabet}, states=states,
         stride=stride, start=row[m.start], next_row=tuple(next_row),
-        output=tuple(output), as_mode=as_mode, accepts_empty=m.accepts_empty,
-        state_count=len(states),
+        output=tuple(output), as_mode=as_mode,
         gate=_BLOCK_MIN if narrow else sys.maxsize,
         key_of=bytes if narrow else tuple, empty_verdicts={},
         input_bytes=(raw, bytes.maketrans(raw, bytes(code[x] for x in latin1)))
@@ -339,7 +336,7 @@ def _walk(comp: _Compiled, at: int) -> Optional[tuple]:
     next_row, output = comp.next_row, comp.output
     c = at % comp.stride
     tail = bytearray()
-    for t in range(comp.state_count):
+    for t in range(len(comp.states)):
         row = next_row[at]
         if row == at - c:
             return t, row, bytes(tail), output[at]
@@ -361,7 +358,7 @@ def _jump(comp: _Compiled, start: int, tape: bytes):
     on x (see _walk), then c - t alike in the row s the walk ends in.  So
     while each run outlasts its tail (c > t), the row a sweep ends in and
     the runs it writes depend on the counts only through those c - t
-    steps.  A run of at most state_count letters that has no walk, or
+    steps.  A run of at most len(states) letters that has no walk, or
     does not outlast its walk's tail, is stepped letter by letter, so its
     count must hold.  When the sweep ends in start and writes the same
     letters in runs, each count c_j moved by a constant d_j, the next
@@ -392,7 +389,7 @@ def _jump(comp: _Compiled, start: int, tape: bytes):
             pieces = [(z, 1, -1) for z in tail]
             if y >= 0:
                 pieces.append((y, -t, j))
-        elif c <= comp.state_count:
+        elif c <= len(comp.states):
             t, pieces = c, []
             for _ in range(c):
                 at = row + x
@@ -437,12 +434,12 @@ def _jump(comp: _Compiled, start: int, tape: bytes):
               for i in (sweeps - 1, sweeps)))
 
 
-def _core(comp: _Compiled, row: int, tape, steps: int,
-          max_steps: Optional[int], records: Optional[list], chunk_memo: dict,
+def _core(comp: _Compiled, row: int, tape, max_steps: Optional[int],
+          records: Optional[list], chunk_memo: dict,
           memo: Optional[dict] = None, passed: Optional[list] = None):
-    """Run one sweep per pass, from row and a coded tape (see _Compiled)
-    after steps steps; returns (verdict, row of the last state, steps,
-    sweeps, loop).  A sweep boundary (row, tape) in memo ends the run with
+    """Run one sweep per pass, from row and a coded tape (see _Compiled);
+    returns (verdict, row of the last state, the steps it took, sweeps,
+    loop).  A sweep boundary (row, tape) in memo ends the run with
     its verdict and row None; passed gets the others.
     chunk_memo maps (chunk row, chunk) to (row after, bytes written) for
     the block loop; it may come from earlier runs of the same machine, and
@@ -452,10 +449,10 @@ def _core(comp: _Compiled, row: int, tape, steps: int,
     sweep-start tapes, seen = (first, *later).  When a row comes back,
     (row, tape) has repeated and the rows go round seen[a:] for good, with
     period p = len(seen) - a.  The run stops there and reports the cut at
-    the (state_count + 1)-th unchanged tape in a row, k sweeps of n steps
-    on: row seen[a + k % p], with the k records a trace would have met.
-    loop is (sweep index, row) of the repeated boundary's first visit for
-    a loop verdict, else None.
+    the (S + 1)-th unchanged tape in a row, S = len(comp.states), k sweeps
+    of n steps on: row seen[a + k % p], with the k records a trace would
+    have met.  loop is (sweep index, row) of the repeated boundary's first
+    visit for a loop verdict, else None.
 
     An untraced run with no memo tries a sweep jump (_jump) at a long
     boundary in the row of the boundary before it, on a shorter tape, when
@@ -470,9 +467,9 @@ def _core(comp: _Compiled, row: int, tape, steps: int,
     the last of them left it.  The sweep loops make every other sweep,
     halts and loop cuts included."""
     next_row, output, gate = comp.next_row, comp.output, comp.gate
-    key_of, state_count = comp.key_of, comp.state_count
+    key_of = comp.key_of
     limit = sys.maxsize if max_steps is None else max_steps
-    sweep_index, prev_tape, skip, last = 1, None, None, -1
+    steps, sweep_index, prev_tape, skip, last = 0, 1, None, None, -1
     misses = wait = 0  # failed tries in a row bar the next 1, 3, 7, ... ones
     while tape:
         if memo is not None:
@@ -500,7 +497,7 @@ def _core(comp: _Compiled, row: int, tape, steps: int,
         else:
             seen = first, *later
             a = seen.index(row)
-            p, k = len(seen) - a, state_count + 1 - len(seen)
+            p, k = len(seen) - a, len(comp.states) + 1 - len(seen)
             steps += k * n
             if steps > limit:
                 _exhausted(limit)
@@ -640,7 +637,7 @@ def _core(comp: _Compiled, row: int, tape, steps: int,
         # each sweep consumes its whole start tape, so what it wrote is the next
         prev_tape, tape = tape, key_of(written)
         sweep_index += 1
-    if comp.as_mode and not (steps == 0 and comp.accepts_empty):
+    if comp.as_mode:
         return _EMPTY, row, steps, sweep_index - 1, None
     return (comp.empty_verdicts.get(row, _ACCEPTED), row, steps,
             sweep_index - 1, None)
@@ -651,28 +648,29 @@ def _exhausted(max_steps: int):
     raise LimitExceededError(f"step limit of {max_steps} exhausted")
 
 
-def _decide(comp: _Compiled, row: int, queue: list, n: int):
-    """Verdict of a run that has taken a step and reached row with at most
-    n codes in queue, which it appends to: the run is one pass over queue
-    with no sweep bookkeeping.
+def _decide(comp: _Compiled, row: int, queue: list):
+    """Verdict of a run that has taken a step and reached row with the
+    codes of queue on its tape, which it appends to: the run is one pass
+    over queue with no sweep bookkeeping.
 
-    A chunk of state_count * n steps that each write back the letter they
-    read, on a tape of L <= n letters, meets one tape state_count + 1
-    times, L steps apart, so a state repeats and the run is a loop.  This
-    is checked once per chunk, so the run may start from any
-    configuration.
+    The tape never grows past the n = len(queue) codes it starts with, so
+    a chunk of S * n steps, S = len(comp.states), that each write back the
+    letter they read, on a tape of L <= n letters, meets one tape S + 1
+    times, L steps apart: a state repeats and the run is a loop.  This is
+    checked once per chunk, so the run may start from any configuration.
 
     On a bundle form (see oracle._bundles) a cell whose next row is
     _SPLIT ends the run with no verdict: it returns (the row before the
     cell, [the cell's letter, *the rest of the queue]), the configuration
     that the bundle's runs forked on the parting axis go on from."""
-    next_row, output, count = comp.next_row, comp.output, comp.state_count
+    next_row, output = comp.next_row, comp.output
     write, letters = queue.append, iter(queue)  # letters yields appends too
     i = 0  # steps taken
     end = len(queue)
+    chunk = len(comp.states) * end
     while i < end:
-        stop = i + count * n
-        for c in islice(letters, count * n):
+        stop = i + chunk
+        for c in islice(letters, chunk):
             at = row + c
             row = next_row[at]
             if row < 0:
@@ -718,7 +716,9 @@ def run(m: Machine, word: Iterable[str], limits: Optional[RunLimits] = None) -> 
             raise
     records: Optional[list] = [] if limits.trace else None
     verdict, row, steps, sweeps, loop = _core(
-        comp, comp.start, tape, 0, limits.max_steps, records, {})
+        comp, comp.start, tape, limits.max_steps, records, {})
+    if not tape and m.accepts_empty:
+        verdict = _ACCEPTED
     if loop is not None:
         loop = loop[0], comp.states[loop[1] // comp.stride]
     return RunResult(verdict=verdict, halting_state=comp.states[row // comp.stride],

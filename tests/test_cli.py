@@ -158,6 +158,21 @@ def test_runtime_errors_exit_two(power_file, monkeypatch, capsys):
         "error: maximum recursion depth exceeded\n")
 
 
+def test_enumerate_writes_each_length_when_the_walk_has_it(
+        power_file, monkeypatch, capsys):
+    """A length's words are out before the walk goes on, so a walk that
+    fails later still leaves them on stdout."""
+    def one_length(m, max_len):
+        yield [("a",)]
+        raise RuntimeError("walk cut short")
+
+    monkeypatch.setattr(oracle, "_accepted_layers", one_length)
+    assert main(["enumerate", power_file, "--max-len", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "a\n"
+    assert err == "error: walk cut short\n"
+
+
 def test_enumerate_requires_bound(balance_file, capsys):
     with pytest.raises(SystemExit):
         main(["enumerate", balance_file])

@@ -112,19 +112,19 @@ def _table_use(monkeypatch) -> dict:
     used = {True: 0, False: 0, "keyed": 0, "sizes": [], "hits": 0}
     core, decide = oracle._core, oracle._decide
 
-    def counted_core(comp, row, tape, steps, max_steps, records, *rest):
+    def counted_core(comp, row, tape, max_steps, records, *rest):
         memo = rest[1] if len(rest) > 1 else None  # after the chunk memo
         used[memo is not None] += 1
         used["keyed"] += 1
         if memo is not None:
             used["sizes"].append(len(memo))
-        result = core(comp, row, tape, steps, max_steps, records, *rest)
+        result = core(comp, row, tape, max_steps, records, *rest)
         used["hits"] += result[1] is None
         return result
 
-    def counted_decide(comp, row, queue, n):
+    def counted_decide(comp, row, queue):
         used[False] += 1
-        return decide(comp, row, queue, n)
+        return decide(comp, row, queue)
 
     monkeypatch.setattr(oracle, "_core", counted_core)
     monkeypatch.setattr(oracle, "_decide", counted_decide)
@@ -252,13 +252,13 @@ def _bundle_use(monkeypatch) -> dict:
     used = {"bundles": 0, "subs": 0, "splits": 0, "forks": 0}
     decide = oracle._decide
 
-    def counted_decide(comp, row, queue, n):
+    def counted_decide(comp, row, queue):
         walk = sys._getframe(1).f_locals
         if comp is not walk.get("form") or comp is walk["comp"]:
-            return decide(comp, row, queue, n)  # no vector letters
+            return decide(comp, row, queue)  # no vector letters
         first = all(pick is None for pick in walk["picks"])
         used["bundles" if first else "subs"] += 1
-        result = decide(comp, row, queue, n)
+        result = decide(comp, row, queue)
         if result.__class__ is tuple:
             used["splits"] += 1
             axis = walk["parts"][result[1][0]][0]
@@ -508,7 +508,7 @@ def test_enumerate_shares_one_capped_chunk_memo(monkeypatch, build, cap):
     core = oracle._core
 
     def spied(*args):
-        memos.append(args[6])
+        memos.append(args[5])
         return core(*args)
 
     monkeypatch.setattr(oracle, "_core", spied)

@@ -409,12 +409,12 @@ def assert_decide_matches_run(m, max_len):
             continue  # a queue run has taken a step; the empty word takes none
         expected = run(m, w).verdict
         codes = [comp.code[x] for x in w]
-        got = simulate._decide(comp, comp.start, list(codes), len(w))
+        got = simulate._decide(comp, comp.start, list(codes))
         assert got is expected, w
         passed = []
         verdict, row, _, _, _ = simulate._core(
-            comp, comp.start, comp.key_of(codes), 0, None, None, chunk_memo,
-            memo, passed)
+            comp, comp.start, comp.key_of(codes), None, None, chunk_memo, memo,
+            passed)
         assert verdict is expected, w
         if row is not None:
             # the table did not give it: the first boundary met is the
@@ -432,6 +432,23 @@ def test_queue_runs_match_run():
     for k in (2, 5, 20):
         for loops in (False, True):
             assert_decide_matches_run(undeclared_chain(k, loops), 6)
+
+
+def test_queue_run_bounds_its_loop_cut_by_its_queue():
+    """_decide cuts a loop in its first chunk that writes back every letter
+    it reads, of len(states) steps per letter of its queue at entry: on
+    pure_loop's one-letter queue, after one append per state."""
+    class CountedQueue(list):
+        appends = 0
+
+        def append(self, code):
+            self.appends += 1
+            super().append(code)
+
+    comp = simulate._compile(pure_loop())
+    queue = CountedQueue([comp.code["a"]])
+    assert simulate._decide(comp, comp.start, queue) is Verdict.REJECTED_LOOP
+    assert queue.appends == len(comp.states)
 
 
 @pytest.mark.parametrize("k", [2, 5, 20])
