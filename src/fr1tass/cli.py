@@ -2,12 +2,14 @@
 
 Exit codes: 0 for success (accepted, equivalent, valid), 1 for a negative
 outcome (rejected, counterexample found, violations reported), 2 for
-errors of any kind.
+errors of any kind.  A reader that closes the pipe early, as head does,
+ends the command quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import gallery, oracle, pcp, transform
@@ -241,6 +243,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader stopped early, as head does: later writes, and the
+        # flush at exit, go to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (Fr1tassError, ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

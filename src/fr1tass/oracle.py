@@ -65,8 +65,9 @@ def enumerate_accepted(m: Machine, max_len: int) -> set:
     every cell a bundle run takes has one next row for all worlds and
     erases in all or none of them, so their tapes stay aligned; and two
     letter codes are equal only when every world's letters are, so a loop
-    cut holds for every world.  Words are spelled only for accepted nodes
-    (_spelled).
+    cut holds for every world.  Words are spelled only for accepted nodes,
+    up their links, a run of single links at a time by the product of its
+    axes (_spelled).
 
     The walk and the runs use the verdict form of m (_verdict_form), which
     accepts the same words with no pile of inert letters on its tapes.  A
@@ -133,18 +134,20 @@ def _accepted_layers(m: Machine, max_len: int):
                 below.setdefault(node, [None]).extend((entry, x))
         cone = [w + (x,) for w in cone for x in sigma]
         for entry, x, arities in halts:
-            cone += [w + (x,) for world in range(prod(arities))
-                     for w in _spelled(entry, world)]
+            for words in _spelled(entry, range(prod(arities)), (x,)):
+                cone += words
         found = cone.copy()
         for (row, tape, arities), entry in below.items():
             if arities:
                 worlds = _bundle_worlds(comp, form, parts, row, tape, arities)
             else:
                 worlds = [0] if side.verdict((row, tape)) else []
-            words = [None] * prod(arities) if worlds else None
-            for world in worlds:
-                words[world] = spelled = _spelled(entry, world)
-                found += spelled
+            words = None
+            if worlds:
+                words = [None] * prod(arities)
+                for world, spelled in zip(worlds, _spelled(entry, worlds)):
+                    words[world] = spelled
+                    found += spelled
             if depth < max_len:  # the last layer has no child to spell
                 entry[0] = words
         yield found
@@ -194,29 +197,66 @@ def _bundle_worlds(comp: _Compiled, form: _Compiled, parts: list, row: int,
     return accepting
 
 
-def _spelled(entry: list, world: int) -> list:
-    """The words of a world (see _bundle_worlds) of an entry of
-    enumerate_accepted's walk, 0 for a plain node.
+def _spelled(entry: list, worlds, tail: tuple = ()) -> list:
+    """The words of each of worlds (see _bundle_worlds) of an entry of
+    enumerate_accepted's walk, a list per world, each followed by tail; a
+    plain node has the one world 0.
 
-    A backward walk over links, each step a pending (entry, world, the
-    letters after it), which stops at entries that hold the world's
-    words: the accepted ones but the last layer's, and the root.  A link
-    with a group's members is its child's last axis, of len(members)
-    worlds."""
-    out, todo = [], [(entry, world, ())]
+    Spelled without recursion, by pending items, each an entry, the links
+    taken so far below it and its wants: a world below those links, the
+    list its words go to and the letters after them.  An item goes up the
+    entry's run of single links at once, to an entry that holds words (an
+    accepted one but the last layer's, or the root) or has several links.
+    Each link is an axis: a group's of its members, a plain one's of its
+    letter alone.  The product of the run's axes, the last axis lowest,
+    lists its suffixes in world order, so world w below the run is world
+    w // span at its top with suffix w % span, span being the product's
+    size.  Where few worlds are wanted against span, each wanted suffix
+    is read off its digits instead.  A world the top holds takes its
+    words, and the others go on through each link of the top, as an item
+    whose run starts with that link."""
+    out = [[] for _ in worlds]
+    todo = [(entry, [*zip(worlds, out, itertools.repeat(tail))], [], 1)]
     while todo:
-        entry, world, tail = todo.pop()
-        words = entry[0] and entry[0][world]
-        if words is not None:
-            out += [w + tail for w in words]
-            continue
-        for i in range(1, len(entry), 2):
-            parent, x = entry[i], entry[i + 1]
+        entry, wants, run, span = todo.pop()
+        while entry[0] is None and len(entry) == 3:
+            x = entry[2]
             if x.__class__ is tuple:
-                up, pick = divmod(world, len(x))
-                todo.append((parent, up, (x[pick], *tail)))
+                span *= len(x)
+            run.append(x)
+            entry = entry[1]
+        if span == 1:  # plain letters alone
+            run.reverse()
+            run = (*run,)
+        else:
+            axes = [x if x.__class__ is tuple else (x,) for x in run]
+            if span <= len(wants) * len(axes):
+                suffixes = list(itertools.product(*reversed(axes)))
             else:
-                todo.append((parent, world, (x, *tail)))
+                suffixes = {}
+                for local in {w % span for w, _, _ in wants}:
+                    picks, rest = [], local
+                    for members in axes:
+                        rest, j = divmod(rest, len(members))
+                        picks.append(members[j])
+                    suffixes[local] = (*reversed(picks),)
+            wants = [(w // span, words, suffixes[w % span] + s)
+                     for w, words, s in wants]
+            run = ()
+        held, missed = entry[0], []
+        for w, words, s in wants:
+            s = run + s
+            got = held and held[w]
+            if got is None:
+                missed.append((w, words, s))
+            else:
+                for p in got:
+                    words.append(p + s)
+        if missed:
+            for i in range(1, len(entry), 2):
+                x = entry[i + 1]
+                todo.append((entry[i], missed, [x],
+                             len(x) if x.__class__ is tuple else 1))
     return out
 
 

@@ -65,6 +65,22 @@ def two_hash_dfa() -> DfaSpec:
         start="h0", accepting=frozenset({"h2"}), transitions=t)
 
 
+def one_b_dfa(n: int) -> DfaSpec:
+    """Words over a, b of length exactly n with exactly one b: a{i} and b{i}
+    have read i letters, before and after the b, and dead any other
+    prefix.  2n + 3 states."""
+    t = {("dead", x): "dead" for x in "ab"}
+    for i in range(n + 1):
+        for x in "ab":
+            t[(f"a{i}", x)] = f"{x}{i + 1}" if i < n else "dead"
+            t[(f"b{i}", x)] = f"b{i + 1}" if i < n and x == "a" else "dead"
+    return DfaSpec(
+        alphabet=("a", "b"), start="a0", accepting=frozenset({f"b{n}"}),
+        states=frozenset({"dead", *(f"{x}{i}" for i in range(n + 1)
+                                    for x in "ab")}),
+        transitions=t)
+
+
 @contextlib.contextmanager
 def time_bound(seconds: int, what: str):
     """Raises TimeoutError in the body once it has run for seconds, by

@@ -8,7 +8,7 @@ import pytest
 
 from fr1tass import oracle
 from fr1tass.cli import main
-from fr1tass.gallery import balance_ab_et, power_of_two
+from fr1tass.gallery import balance_ab_et, center_language, power_of_two
 from fr1tass.model import parse_machine, serialize_machine
 from fr1tass.pcp import PcpInstance, pcp_machine
 
@@ -321,14 +321,32 @@ def test_dot_output(power_file, tmp_path, capsys):
 
 # -------------------------------------------------------------- entry point
 
-def test_module_entry_point():
-    # the child finds the package where this process found it
+def _child_env() -> dict:
+    """The environment of a child that finds the package where this
+    process found it."""
     package_root = os.path.dirname(os.path.dirname(oracle.__file__))
     path = os.pathsep.join(filter(None, [package_root,
                                          os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "fr1tass.cli",
                            "gallery", "list"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "power_of_two"
+
+
+def test_enumerate_stops_quietly_when_the_reader_closes_the_pipe(tmp_path):
+    """As under head -n 1: a walk to length 40 is far from done when the
+    reader stops, and the next length written meets a closed pipe."""
+    path = put(tmp_path, "center.fts", serialize_machine(center_language()))
+    with subprocess.Popen([sys.executable, "-m", "fr1tass.cli", "enumerate",
+                           path, "--max-len", "40"], env=_child_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        assert proc.stdout.readline() == "a\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == ""

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from common import (all_a, census_machines, equivalent_by_sets, even_length,
                     flip_flop, has_strongly_equivalent_states, is_palindrome,
-                    odd_length, pure_loop, random_machine, regular,
-                    rotating_countdown, run_language, stepped_verdict,
-                    time_bound, two_hash_dfa, undeclared_chain, words)
+                    odd_length, one_b_dfa, pure_loop, random_machine,
+                    regular, rotating_countdown, run_language,
+                    stepped_verdict, time_bound, two_hash_dfa,
+                    undeclared_chain, words)
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
@@ -432,6 +433,70 @@ def test_enumerate_cone_below_a_bundle_node(monkeypatch):
     assert enumerate_accepted(m, 8) == run_language(m, 8) == {
         w for w in words("ab", 8) if "a" in w[1:]}
     assert used["bundles"] > 0
+
+
+def _walk_layers(m, max_len: int) -> list:
+    """The layers of enumerate_accepted's walk on m from length 1 on, each
+    a dict of its nodes' entries, read off the walk's frame once the
+    layer is done."""
+    walk = oracle._accepted_layers(m, max_len)
+    next(walk)
+    return [walk.gi_frame.f_locals["below"] for _ in walk]
+
+
+def test_enumerate_spells_a_deep_dag():
+    """Each layer's node past the b has two links, the b and the a after
+    the node before, so a word is spelled through up to 1,100 merges, by a
+    walk that does not recurse."""
+    n = 1100
+    with time_bound(20, "the deep walk"):
+        got = enumerate_accepted(from_dfa(one_b_dfa(n)), n)
+    assert got == {("a",) * i + ("b",) + ("a",) * (n - 1 - i)
+                   for i in range(n)}
+
+
+def test_enumerate_spells_past_a_partly_accepted_node():
+    """center's root group bundles a and b: the node of length 1 accepts
+    its world a and rejects its world b.  A word of length 3 that starts
+    with b is spelled through the world it rejects."""
+    m = center_language()
+    first = _walk_layers(m, 3)[0]
+    assert [entry[0] for entry in first.values()] == [[[("a",)], None]]
+    assert enumerate_accepted(m, 9) == run_language(m, 9) == {
+        w for w in words("ab", 9) if is_center_a(w)}
+
+
+def test_enumerate_spells_through_a_merge_of_bundles():
+    """s erases c and stays, and sends a and b on to t writing A and B, a
+    group; t erases c and stays.  So from length 2 on, the bundle node in
+    t has two links: c from the one before it, and the group from s.  It
+    accepts its world b, since t then reads B into y, and rejects a."""
+    m = make_machine(sigma="abc", tape="ABabc", start="s", accepting=("y",),
+                     mode=Mode.AS,
+                     transitions={("s", "a"): ("t", "A"),
+                                  ("s", "b"): ("t", "B"),
+                                  ("s", "c"): ("s", None),
+                                  ("t", "c"): ("t", None),
+                                  ("t", "B"): ("y", "B")})
+    merges = [entry for layer in _walk_layers(m, 8)
+              for entry in layer.values()
+              if {x.__class__ for x in entry[2::2]} == {str, tuple}]
+    assert len(merges) == 7
+    assert all(entry[0] for entry in merges[:-1])  # accepted and held
+    assert enumerate_accepted(m, 8) == run_language(m, 8) == {
+        w for w in words("bc", 8) if w.count("b") == 1}
+
+
+def test_enumerate_layers_hold_no_word_twice():
+    """cli.cmd_enumerate writes each layer's list as it is."""
+    with time_bound(30, "the census"):
+        for m in census_machines():
+            for found in oracle._accepted_layers(m, 5):
+                assert len(found) == len(set(found)), m
+    for m, n in ((center_language(), 13), (as_to_et(center_language()), 12),
+                 (marked_copy(), 13), (power_of_two(), 1200)):
+        for found in oracle._accepted_layers(m, n):
+            assert len(found) == len(set(found))
 
 
 def test_enumerate_tape_wider_than_a_byte():
