@@ -9,6 +9,7 @@ ends the command quietly with 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -71,13 +72,24 @@ def cmd_run(args) -> int:
 def cmd_enumerate(args) -> int:
     m = _load(args.machine)
     # by length, then letter by letter in tape order; a length's words are
-    # distinct, and a string of letter codes sorts them as the codes do.
-    # Each length is written as soon as the walk has it.
-    code = {x: chr(c) for x, c in _compile(m).code.items()}.__getitem__
+    # distinct.  Where each input letter is one character and the letters'
+    # string order is their tape order, a length's lines have their letters
+    # at the same places and sort as strings; otherwise a string of letter
+    # codes is each word's key.  Each length is written as soon as the
+    # walk has it.
+    code = _compile(m).code
+    sigma = sorted(m.input_alphabet, key=code.__getitem__)
+    plain = all(len(x) == 1 for x in sigma) and sigma == sorted(sigma)
+    key = {x: chr(c) for x, c in code.items()}.__getitem__
     for words in oracle._accepted_layers(m, args.max_len):
-        words.sort(key=lambda w: "".join(map(code, w)))
-        sys.stdout.write("".join(" ".join(w) + "\n" for w in words))
-        sys.stdout.flush()
+        if plain:
+            lines = sorted(map(" ".join, words))
+        else:
+            words.sort(key=lambda w: "".join(map(key, w)))
+            lines = list(map(" ".join, words))
+        if lines:
+            sys.stdout.write("\n".join(lines) + "\n")
+            sys.stdout.flush()
     return 0
 
 
@@ -167,6 +179,7 @@ def cmd_dot(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fr1tass",

@@ -1,13 +1,9 @@
 """Worked machines: small deciders that exercise every corner of the model.
 
-Each builder returns a fresh valid Machine.  The module also houses a
-seeded generator of random unary machines for cross-checking the
-classifier.
+Each builder returns a fresh valid Machine.
 """
 
 from __future__ import annotations
-
-import random
 
 from .model import Machine, Mode, make_machine
 
@@ -156,33 +152,6 @@ def center_language() -> Machine:
         accepting=("f_acc",),
         transitions=t,
         mode=Mode.AS,
-    )
-
-
-def random_unary_noaux(seed: int, n_states: int) -> Machine:
-    """Seeded random unary machine with one a-transition per state.
-
-    Half the transitions erase; the mode and accepting set are drawn from
-    the same stream, so equal seeds rebuild the identical machine.
-    """
-    if n_states < 1:
-        raise ValueError("need at least one state")
-    rng = random.Random(seed)
-    states = [f"q{i}" for i in range(n_states)]
-    transitions = {}
-    for q in states:
-        target = rng.choice(states)
-        out = None if rng.random() < 0.5 else "a"
-        transitions[(q, "a")] = (target, out)
-    mode = Mode.AS if rng.random() < 0.5 else Mode.ET
-    accepting = tuple(q for q in states if rng.random() < 0.3)
-    return make_machine(
-        sigma=("a",),
-        tape=("a",),
-        start="q0",
-        accepting=accepting if mode is Mode.AS else (),
-        transitions=transitions,
-        mode=mode,
     )
 
 

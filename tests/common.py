@@ -156,6 +156,33 @@ def equivalent_by_sets(a, b, max_len: int):
     return Counterexample(word=w, in_first=w in in_a, in_second=w in in_b)
 
 
+def random_unary_noaux(seed: int, n_states: int) -> Machine:
+    """Seeded random unary machine with one a-transition per state.
+
+    Half the transitions erase; the mode and accepting set are drawn from
+    the same stream, so equal seeds rebuild the identical machine.
+    """
+    if n_states < 1:
+        raise ValueError("need at least one state")
+    rng = random.Random(seed)
+    states = [f"q{i}" for i in range(n_states)]
+    transitions = {}
+    for q in states:
+        target = rng.choice(states)
+        out = None if rng.random() < 0.5 else "a"
+        transitions[(q, "a")] = (target, out)
+    mode = Mode.AS if rng.random() < 0.5 else Mode.ET
+    accepting = tuple(q for q in states if rng.random() < 0.3)
+    return make_machine(
+        sigma=("a",),
+        tape=("a",),
+        start="q0",
+        accepting=accepting if mode is Mode.AS else (),
+        transitions=transitions,
+        mode=mode,
+    )
+
+
 def random_machine(seed: int):
     """Seeded random freezing machine over up to three input letters, with
     up to two working letters, erasures, and either acceptance mode."""

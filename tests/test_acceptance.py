@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from common import (all_a, even_length, odd_length, pure_loop, starts_a_dfa,
-                    two_hash_dfa, words)
+from common import (all_a, even_length, odd_length, pure_loop,
+                    random_unary_noaux, starts_a_dfa, two_hash_dfa, words)
 from fr1tass.gallery import (GALLERY, balance_ab_et, center_language,
-                             marked_copy, power_of_two, random_unary_noaux)
+                             marked_copy, power_of_two)
 from fr1tass.model import (Machine, Mode, OrderedAlphabet, ParseError,
                            ViolationCode, make_machine, parse_machine,
                            serialize_machine, validate)

@@ -173,6 +173,35 @@ def test_enumerate_writes_each_length_when_the_walk_has_it(
     assert err == "error: walk cut short\n"
 
 
+def ranked_text(low: str, high: str) -> str:
+    """Words with the letter high, over two letters that the tape ranks
+    low before high."""
+    return (f"input: {high} {low}\n"
+            f"tape:  {low} {high}\n"
+            "start: p\n"
+            "accept: q\n"
+            "mode:  AS\n"
+            f"trans: p {high} -> q {low}\n"
+            f"trans: p {low} -> p {low}\n"
+            f"trans: q {high} -> q {high}\n"
+            f"trans: q {low} -> p -\n")
+
+
+@pytest.mark.parametrize("low", ["b", "ab"])
+def test_enumerate_sorts_by_tape_rank(tmp_path, capsys, low):
+    """The tape ranks low before a, against their string order, so
+    enumerate sorts by each word's ranks, not by its line."""
+    text = ranked_text(low, "a")
+    m = parse_machine(text)
+    words = sorted(oracle.enumerate_accepted(m, 4),
+                   key=lambda w: (len(w), *map(m.tape.rank, w)))
+    assert len(words) == 26 and words[1] == (low, "a")
+    assert main(["enumerate", put(tmp_path, "m.fts", text),
+                 "--max-len", "4"]) == 0
+    assert capsys.readouterr().out == "".join(" ".join(w) + "\n"
+                                              for w in words)
+
+
 def test_enumerate_requires_bound(balance_file, capsys):
     with pytest.raises(SystemExit):
         main(["enumerate", balance_file])
@@ -350,3 +379,23 @@ def test_enumerate_stops_quietly_when_the_reader_closes_the_pipe(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=60) == 0
         assert proc.stderr.read() == ""
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, power_file, capfd):
+    """One process's parser serves every call: each call's output and exit
+    code are those of a fresh process."""
+    center = put(tmp_path, "center.fts", serialize_machine(center_language()))
+    calls = [["run", power_file, "--chars", "aaaa", "--trace"],
+             ["run", power_file, "--chars", "aaaa"],
+             ["enumerate", power_file, "--max-len", "9"],
+             ["enumerate", center, "--max-len", "5"],
+             ["equal", power_file, center, "--max-len", "3"]]
+    for argv in calls:
+        code = main(argv)
+        out, err = capfd.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "fr1tass.cli", *argv],
+                               capture_output=True, text=True,
+                               env=_child_env())
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr), argv
+        assert out.startswith("sweep ") == ("--trace" in argv)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from common import run_language, words
+from common import random_unary_noaux, run_language, words
 from fr1tass.exceptions import IndexOutOfRangeError, PcpInstanceError
 from fr1tass.gallery import (GALLERY, balance_ab_et, center_language,
-                             marked_copy, power_of_two, random_unary_noaux)
+                             marked_copy, power_of_two)
 from fr1tass.model import Mode, ParseError, validate
 from fr1tass.pcp import (PcpInstance, encode_pcp_candidate, parse_pcp_instance,
                          pcp_machine)

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from common import (all_a, census_machines, equivalent_by_sets, even_length,
                     flip_flop, has_strongly_equivalent_states, is_palindrome,
                     odd_length, one_b_dfa, pure_loop, random_machine,
-                    regular, rotating_countdown, run_language,
-                    stepped_verdict, time_bound, two_hash_dfa,
+                    random_unary_noaux, regular, rotating_countdown,
+                    run_language, stepped_verdict, time_bound, two_hash_dfa,
                     undeclared_chain, words)
 from fr1tass import oracle, simulate
 from fr1tass.exceptions import AlphabetMismatchError, PreconditionError
 from fr1tass.gallery import (balance_ab_et, center_language, marked_copy,
-                             power_of_two, random_unary_noaux)
+                             power_of_two)
 from fr1tass.model import Mode, make_machine
 from fr1tass.oracle import (_MEMO_PROBE_RUNS, Counterexample, UnaryClass,
                             UnaryKind, classify_unary_noaux,

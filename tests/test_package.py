@@ -12,7 +12,7 @@ def test_all_names_every_public_import_once():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert sorted(fr1tass.__all__) == sorted(public)
-    assert len(fr1tass.__all__) == len(set(fr1tass.__all__)) == 59
+    assert len(fr1tass.__all__) == len(set(fr1tass.__all__)) == 58
 
 
 # each module may import only from modules in an earlier layer

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import (all_a, census_machines, flip_flop, pure_loop,
-                    random_machine, reference_run, rotating_countdown,
-                    run_language, stepped_verdict, undeclared_chain, words)
+                    random_machine, random_unary_noaux, reference_run,
+                    rotating_countdown, run_language, stepped_verdict,
+                    undeclared_chain, words)
 from fr1tass import simulate
 from fr1tass.exceptions import LimitExceededError, PreconditionError
 from fr1tass.gallery import (GALLERY, balance_ab_et, center_language,
-                             marked_copy, power_of_two, random_unary_noaux)
+                             marked_copy, power_of_two)
 from fr1tass.model import Mode, make_machine, validate
 from fr1tass.simulate import (Configuration, Halted, HaltReason, RunLimits,
                               RunResult, SweepCase, Verdict, accepts,
